@@ -13,10 +13,11 @@
 //! equals the requested width, so a pool that silently falls back to
 //! serial fails the bench run loudly instead of reporting a fake 1.0×.
 
+use bdb_bench::replay_per_point_sweep;
 use bdb_cluster::{loopback_pair, profile_all_distributed, run_worker, wire};
-use bdb_cluster::{Message, Transport, WireFormat, WorkerConfig};
-use bdb_codec::{columnar, RecordKind};
-use bdb_engine::{json::Value, Engine, EngineConfig, SweepMode};
+use bdb_cluster::{Message, Transport, WorkerConfig};
+use bdb_codec::columnar;
+use bdb_engine::{json::Value, Engine, EngineConfig};
 use bdb_node::NodeConfig;
 use bdb_serve::{Mutation, ServeClient, ServeSpec, ServeState, Server, ServerConfig};
 use bdb_sim::{sweep_per_point, MachineConfig, SweepFamily, SweepResult, PAPER_SWEEP_KIB};
@@ -76,12 +77,11 @@ fn scratch_cache_dir() -> PathBuf {
 /// Builds a sweep engine with an honest worker pool: if the requested
 /// width is not what the pool actually delivers (a silent serial
 /// fallback), the bench aborts instead of recording a bogus point.
-fn sweep_engine(threads: usize, mode: SweepMode) -> Engine {
+fn sweep_engine(threads: usize) -> Engine {
     let engine = Engine::new(
         EngineConfig::default()
             .threads(threads)
-            .without_memory_cache()
-            .sweep_mode(mode),
+            .without_memory_cache(),
     );
     assert_eq!(
         engine.worker_threads(),
@@ -118,8 +118,8 @@ fn run_reference_sweeps(defs: &[WorkloadDef], at: Scale) -> Vec<SweepResult> {
         .collect()
 }
 
-/// Times a 3-worker loopback distributed run under whatever
-/// `BDB_WIRE_FORMAT` is currently set, returning `(seconds, profiles)`.
+/// Times a 3-worker loopback distributed run, returning
+/// `(seconds, profiles)`.
 fn run_distributed(
     defs: &[WorkloadDef],
     at: Scale,
@@ -197,18 +197,20 @@ fn measure_and_report() {
     // Sweep section: the per-point reference re-runs the workload
     // generator and a full Machine for each of the 10 capacity points;
     // the fused path extracts the L1 event streams once and replays them
-    // per capacity. Same bits, fraction of the work. The engine's
-    // per-point mode (trace once, full machine replayed per point) is
-    // timed as a third column and must also match bit for bit.
+    // per capacity. Same bits, fraction of the work. Per-point replay
+    // (trace once, full machine replayed per point) is timed as a third
+    // column and must also match bit for bit.
     let (sweep_serial_s, serial_sweeps) = time(|| run_reference_sweeps(&defs, scale()));
-    let (sweep_replay_pp_s, replay_pp_sweeps) =
-        time(|| run_sweeps(&sweep_engine(1, SweepMode::PerPoint), &defs, scale()));
+    let (sweep_replay_pp_s, replay_pp_sweeps) = time(|| {
+        defs.iter()
+            .map(|def| replay_per_point_sweep(def, scale(), &PAPER_SWEEP_KIB))
+            .collect::<Vec<_>>()
+    });
     assert_eq!(
         serial_sweeps, replay_pp_sweeps,
-        "engine per-point mode must be bit-identical to the reference sweep"
+        "per-point replay must be bit-identical to the reference sweep"
     );
-    let (sweep_fused_s, fused_sweeps) =
-        time(|| run_sweeps(&sweep_engine(1, SweepMode::Fused), &defs, scale()));
+    let (sweep_fused_s, fused_sweeps) = time(|| run_sweeps(&sweep_engine(1), &defs, scale()));
     assert_eq!(
         serial_sweeps, fused_sweeps,
         "fused sweep must be bit-identical to the per-point sweep"
@@ -219,8 +221,7 @@ fn measure_and_report() {
     // against `worker_threads` and against the serial reference bits.
     let mut sweep_thread_fields = Vec::new();
     for t in [1usize, 2, 4] {
-        let (secs, sweeps) =
-            time(|| run_sweeps(&sweep_engine(t, SweepMode::Fused), &defs, scale()));
+        let (secs, sweeps) = time(|| run_sweeps(&sweep_engine(t), &defs, scale()));
         assert_eq!(
             serial_sweeps, sweeps,
             "{t}-thread fused sweep must be bit-identical to serial"
@@ -248,7 +249,7 @@ fn measure_and_report() {
     let mut sweep_scaled_fields = Vec::new();
     let mut scaled_reference: Option<Vec<SweepResult>> = None;
     for t in [1usize, 2, 4] {
-        let engine = sweep_engine(t, SweepMode::Fused);
+        let engine = sweep_engine(t);
         let (secs, sweeps) = time(|| engine.sweep_all(&scaled_jobs, &PAPER_SWEEP_KIB));
         match &scaled_reference {
             None => scaled_reference = Some(sweeps),
@@ -338,37 +339,23 @@ fn measure_and_report() {
     );
     let spill_mib = spill.len() as f64 / (1024.0 * 1024.0);
 
-    let profile_value = bdb_engine::codec::profile_to_value(&serial[0]);
-    let cache_json_bytes = profile_value.encode().len() + 1;
-    let cache_binary_bytes = bdb_codec::encode_record(
-        RecordKind::CacheEntry,
-        &bdb_codec::encode_cache_payload(0, &profile_value),
-    )
-    .len();
+    let cache_json_bytes = bdb_engine::codec::profile_to_value(&serial[0])
+        .encode()
+        .len()
+        + 1;
     let result_msg = Message::Result {
         task_id: 0,
         fingerprint: 0,
         outcome: Ok(Box::new(serial[0].clone())),
     };
-    let wire_json_bytes = wire::encode_frame_with(WireFormat::Json, &result_msg).len();
-    let wire_binary_bytes = wire::encode_frame_with(WireFormat::Binary, &result_msg).len();
+    let wire_json_bytes = wire::encode_frame(&result_msg).len();
 
-    // Cluster merge, JSON wire vs binary wire: same loopback fleet, same
-    // tasks, byte-identical profiles — only the frame encoding differs.
-    std::env::remove_var("BDB_WIRE_FORMAT");
+    // Cluster merge over a loopback fleet: byte-identical to serial.
     let (merge_json_s, merged_json) = run_distributed(&defs, scale(), &machine, &node);
-    std::env::set_var("BDB_WIRE_FORMAT", "binary");
-    let (merge_binary_s, merged_binary) = run_distributed(&defs, scale(), &machine, &node);
-    std::env::remove_var("BDB_WIRE_FORMAT");
     assert_eq!(
         fingerprint(&serial),
         fingerprint(&merged_json),
         "JSON-wire merge must be bit-identical to serial"
-    );
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&merged_binary),
-        "binary-wire merge must be bit-identical to serial"
     );
 
     // Serve section: cold catalog materialization, warm query latency
@@ -393,7 +380,7 @@ fn measure_and_report() {
         let (client_end, server_end) = loopback_pair(label);
         let srv = server.clone();
         std::thread::spawn(move || srv.serve_session(Arc::new(server_end)));
-        let mut client = ServeClient::over(Arc::new(client_end), WireFormat::Json);
+        let mut client = ServeClient::over(Arc::new(client_end));
         client.hello(label).expect("serve hello");
         client
     };
@@ -525,24 +512,12 @@ fn measure_and_report() {
             Value::UInt(cache_json_bytes as u64),
         ),
         (
-            "cache_entry_binary_bytes",
-            Value::UInt(cache_binary_bytes as u64),
-        ),
-        (
             "wire_result_frame_json_bytes",
             Value::UInt(wire_json_bytes as u64),
         ),
         (
-            "wire_result_frame_binary_bytes",
-            Value::UInt(wire_binary_bytes as u64),
-        ),
-        (
             "cluster_merge_json_wire_seconds",
             Value::Float(merge_json_s),
-        ),
-        (
-            "cluster_merge_binary_wire_seconds",
-            Value::Float(merge_binary_s),
         ),
         ("serve_entries", Value::UInt(serve_entries)),
         ("serve_cold_materialize_seconds", Value::Float(serve_cold_s)),
@@ -600,9 +575,8 @@ fn measure_and_report() {
     println!(
         "codec:  trace chunks {}B binary vs {trace_event_json_bytes}B JSON event frames \
          ({trace_ratio:.1}x; {trace_array_ratio:.1}x vs the array form), \
-         cache entry {cache_binary_bytes}B vs {cache_json_bytes}B, \
-         result frame {wire_binary_bytes}B vs {wire_json_bytes}B, \
-         merge json-wire {merge_json_s:.2}s vs binary-wire {merge_binary_s:.2}s",
+         cache entry {cache_json_bytes}B, result frame {wire_json_bytes}B, \
+         merge {merge_json_s:.2}s",
         spill.len()
     );
     println!(
@@ -685,15 +659,10 @@ fn sweep_per_point_vs_fused(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_sweep");
     group.sample_size(10);
     group.bench_function("per_point", |b| {
-        let engine = sweep_engine(1, SweepMode::PerPoint);
-        b.iter(|| {
-            engine.sweep(&def.spec.id, &caps, |sink| {
-                let _ = def.run(sink, scale());
-            })
-        })
+        b.iter(|| replay_per_point_sweep(def, scale(), &caps))
     });
     group.bench_function("fused", |b| {
-        let engine = sweep_engine(1, SweepMode::Fused);
+        let engine = sweep_engine(1);
         b.iter(|| {
             engine.sweep(&def.spec.id, &caps, |sink| {
                 let _ = def.run(sink, scale());

@@ -15,7 +15,7 @@
 //! * a scaled batch sweep whose 4-thread run fails the 1.5× floor on a
 //!   runner that actually has 4 hardware threads.
 
-use bdb_engine::{Engine, EngineConfig, SweepMode, POINT_PARALLEL_MIN_WORK};
+use bdb_engine::{Engine, EngineConfig, POINT_PARALLEL_MIN_WORK};
 use bdb_sim::{sweep_per_point, SweepFamily, SweepResult, PAPER_SWEEP_KIB};
 use bdb_workloads::{Scale, WorkloadDef};
 use std::time::Instant;
@@ -38,12 +38,11 @@ fn fail(msg: &str) -> ! {
 
 /// Builds an engine and verifies the pool width it reports matches the
 /// width we asked for — the guard against silent serial fallback.
-fn honest_engine(threads: usize, mode: SweepMode) -> Engine {
+fn honest_engine(threads: usize) -> Engine {
     let engine = Engine::new(
         EngineConfig::default()
             .threads(threads)
-            .without_memory_cache()
-            .sweep_mode(mode),
+            .without_memory_cache(),
     );
     let got = engine.worker_threads();
     if got != threads {
@@ -83,7 +82,7 @@ fn main() {
 
     // Thread-honesty probe for every width CI cares about.
     for threads in [1usize, 2, 4] {
-        let _ = honest_engine(threads, SweepMode::Fused);
+        let _ = honest_engine(threads);
     }
 
     // Reference: the raw per-point oracle — generator re-run on a full
@@ -100,19 +99,22 @@ fn main() {
         .collect();
     let per_point_s = start.elapsed().as_secs_f64();
 
-    // The engine's per-point mode (trace once into a pooled buffer, full
-    // machine replayed per capacity) must reproduce the oracle's bits.
-    let replay_pp = run_sweeps(&honest_engine(1, SweepMode::PerPoint), &defs, scale);
-    assert_bit_identical(&reference, &replay_pp, "engine per-point (replay) sweep");
+    // Per-point replay (trace captured once, a full machine replayed per
+    // capacity) must reproduce the oracle's bits.
+    let replay_pp: Vec<SweepResult> = defs
+        .iter()
+        .map(|def| bdb_bench::replay_per_point_sweep(def, scale, &PAPER_SWEEP_KIB))
+        .collect();
+    assert_bit_identical(&reference, &replay_pp, "per-point replay sweep");
 
     let start = Instant::now();
-    let fused = run_sweeps(&honest_engine(1, SweepMode::Fused), &defs, scale);
+    let fused = run_sweeps(&honest_engine(1), &defs, scale);
     let fused_s = start.elapsed().as_secs_f64();
     assert_bit_identical(&reference, &fused, "serial fused sweep");
 
     // Multi-thread fused runs must also reproduce the reference bits.
     for threads in [2usize, 4] {
-        let sweeps = run_sweeps(&honest_engine(threads, SweepMode::Fused), &defs, scale);
+        let sweeps = run_sweeps(&honest_engine(threads), &defs, scale);
         assert_bit_identical(
             &reference,
             &sweeps,
@@ -145,7 +147,7 @@ fn point_parallel_smoke(defs: &[WorkloadDef], scale: Scale, reference: &[SweepRe
     // Honesty: the engine must report the point width it was given, and
     // the auto width must demote small sweeps to serial while fanning
     // large ones out (the threshold is events x points).
-    let auto = honest_engine(4, SweepMode::Fused);
+    let auto = honest_engine(4);
     if auto.point_threads() != 4 {
         fail(&format!(
             "a 4-thread pool must derive a 4-wide auto point fan-out, got {}",
@@ -198,10 +200,10 @@ fn thread_scaling_smoke(defs: &[WorkloadDef], scale: Scale) {
         })
         .collect();
     let start = Instant::now();
-    let serial = honest_engine(1, SweepMode::Fused).sweep_all(&jobs, &PAPER_SWEEP_KIB);
+    let serial = honest_engine(1).sweep_all(&jobs, &PAPER_SWEEP_KIB);
     let serial_s = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let wide = honest_engine(4, SweepMode::Fused).sweep_all(&jobs, &PAPER_SWEEP_KIB);
+    let wide = honest_engine(4).sweep_all(&jobs, &PAPER_SWEEP_KIB);
     let wide_s = start.elapsed().as_secs_f64();
     assert_bit_identical(&serial, &wide, "4-thread scaled batch sweep");
     let cores = std::thread::available_parallelism()

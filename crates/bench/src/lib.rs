@@ -25,8 +25,6 @@
 //! * `BDB_CACHE_MAX_BYTES=<n>` — cap the disk cache (LRU eviction).
 //! * `BDB_CLUSTER=<addr,addr>` — profile via remote `bdb-clusterd`
 //!   workers instead of the local engine (also `--cluster addr,addr`).
-//! * `BDB_SWEEP_MODE=per-point` — disable the fused trace-once/replay-many
-//!   capacity sweep and re-simulate each point (debug aid; same bits).
 //! * `BDB_JOURNAL=<path>` — checkpoint completed profiles/sweeps into a
 //!   write-ahead run journal.
 //! * `BDB_RESUME=1` (or the `--resume` flag) — resume completed work
@@ -150,7 +148,6 @@ ENVIRONMENT:
     BDB_NO_CACHE         Set to disable the disk cache
     BDB_CACHE_MAX_BYTES  Disk-cache size cap in bytes with LRU eviction (default: unbounded)
     BDB_CLUSTER          Worker addresses, same meaning as --cluster
-    BDB_SWEEP_MODE       Capacity-sweep strategy: fused (default) or per-point
     BDB_JOURNAL          Write-ahead run-journal path (default: results/journal/{bin}.wal)
     BDB_RESUME           Set to resume from the journal, same meaning as --resume
 "
@@ -340,6 +337,25 @@ pub fn mpi_sweep_defs() -> Vec<WorkloadDef> {
             ["M-WordCount", "M-Grep", "M-Sort", "M-NaiveBayes"].contains(&w.spec.id.as_str())
         })
         .collect()
+}
+
+/// The per-point replay reference sweep: captures `def`'s trace once and
+/// replays a full Atom-like machine at every capacity
+/// ([`bdb_sim::sweep_point_replay`]). Byte-identical to the engine's
+/// fused sweep; `perf_smoke` and the engine bench check and time it.
+pub fn replay_per_point_sweep(
+    def: &WorkloadDef,
+    scale: Scale,
+    capacities_kib: &[u64],
+) -> bdb_sim::SweepResult {
+    let buffer = bdb_trace::TraceBuffer::capture(|sink| {
+        let _ = def.run(sink, scale);
+    });
+    let points = capacities_kib
+        .iter()
+        .map(|&kib| bdb_sim::sweep_point_replay(kib, &buffer))
+        .collect();
+    bdb_sim::assemble_sweep(&def.spec.id, capacities_kib, points)
 }
 
 /// Renders a sweep-figure table with one column per curve.

@@ -20,7 +20,6 @@ const REQUIRED_KNOBS: &[&str] = &[
     "BDB_NO_CACHE",
     "BDB_CACHE_MAX_BYTES",
     "BDB_CLUSTER",
-    "BDB_SWEEP_MODE",
     "--resume",
     "BDB_JOURNAL",
     "BDB_RESUME",
@@ -117,7 +116,6 @@ fn served_help_documents_its_own_knobs() {
         "BDB_SERVE_ADDR",
         "BDB_SERVE_MAX_CLIENTS",
         "BDB_SERVE_SUB_QUEUE",
-        "BDB_SERVE_FORMAT",
     ] {
         assert!(
             source.contains(knob),

@@ -229,25 +229,6 @@ impl Coordinator {
         self.run_elastic(workers, closed_joins(), tasks, None)
     }
 
-    /// Like [`run`](Self::run), but checkpoints progress into `journal`:
-    /// every verified result is appended as it lands, and tasks the
-    /// journal already holds (from a previous, killed coordinator) are
-    /// merged up front without being re-dispatched. The merged output is
-    /// byte-identical to an uninterrupted run — journaled profiles are
-    /// replayed, not recomputed, and the determinism contract makes the
-    /// two indistinguishable.
-    pub fn run_journaled(
-        &self,
-        workers: Vec<Arc<dyn Transport>>,
-        tasks: &[Task],
-        journal: &mut RunJournal,
-    ) -> Result<Vec<WorkloadProfile>, ClusterError> {
-        if workers.is_empty() {
-            return Err(ClusterError::NoWorkers);
-        }
-        self.run_elastic(workers, closed_joins(), tasks, Some(journal))
-    }
-
     /// The elastic entry point: starts with `workers` (possibly empty)
     /// and accepts additional worker transports on `joins` for as long
     /// as the channel stays open. A joining worker is eligible for
@@ -258,6 +239,12 @@ impl Coordinator {
     /// drop the sender to make [`ClusterError::AllWorkersDead`] reachable
     /// again. The merged output is byte-identical to a serial run under
     /// any join/leave schedule.
+    ///
+    /// With a `journal`, every verified result is appended as it lands,
+    /// and tasks the journal already holds (from a previous, killed
+    /// coordinator) are merged up front without being re-dispatched.
+    /// Journaled profiles are replayed, not recomputed, and the
+    /// determinism contract makes the two indistinguishable.
     pub fn run_elastic(
         &self,
         workers: Vec<Arc<dyn Transport>>,

@@ -6,7 +6,7 @@
 //! `BDB_*` knobs it honoured). This module is the single source of the
 //! daemon help layout: each binary supplies its summary, usage line,
 //! options, and daemon-specific environment entries, and the shared
-//! engine/wire knob block is appended — so the block cannot drift
+//! engine knob block is appended — so the block cannot drift
 //! per-binary, and `crates/bench/tests/help_consistency.rs` pins every
 //! daemon to this renderer.
 
@@ -14,7 +14,7 @@
 pub type HelpEntry<'a> = (&'a str, &'a str);
 
 /// The environment knobs every daemon honours: the full
-/// `EngineConfig::from_env` surface plus the wire-format selector. A
+/// `EngineConfig::from_env` surface. A
 /// daemon built on the engine reads all of these, whether or not its
 /// author remembered to document them — which is exactly why the list
 /// lives here and not in each binary.
@@ -36,22 +36,10 @@ pub const DAEMON_ENGINE_ENV: &[HelpEntry<'static>] = &[
         "BDB_CACHE_MAX_BYTES",
         "Disk-cache size cap in bytes with LRU eviction (default: unbounded)",
     ),
-    (
-        "BDB_CACHE_FORMAT",
-        "Cache entry encoding: json (default) or binary",
-    ),
-    (
-        "BDB_SWEEP_MODE",
-        "Capacity-sweep strategy: fused (default) or per-point",
-    ),
     ("BDB_JOURNAL", "Write-ahead run-journal path"),
     (
         "BDB_RESUME",
         "Set to resume completed work from the journal",
-    ),
-    (
-        "BDB_WIRE_FORMAT",
-        "Outbound wire payload encoding: json (default) or binary",
     ),
 ];
 
@@ -69,7 +57,7 @@ fn entry_line(out: &mut String, (name, desc): &HelpEntry<'_>) {
 
 /// Renders a daemon's full `--help` text: summary, usage, options (with
 /// `-h, --help` appended), then the ENVIRONMENT block — daemon-specific
-/// entries first, the shared engine/wire block after.
+/// entries first, the shared engine block after.
 pub fn help_text(
     bin: &str,
     summary: &str,

@@ -118,19 +118,3 @@ pub fn profile_all_distributed(
     let tasks = fleet_tasks(workloads, scale, machine, node);
     Coordinator::new(ClusterConfig::default()).run(workers, &tasks)
 }
-
-/// Like [`profile_all_distributed`], but checkpoints every verified
-/// result into `journal` as it lands, and merges journaled results from
-/// a previous (killed) coordinator up front instead of re-dispatching
-/// those shards. Output stays byte-identical to an uninterrupted run.
-pub fn profile_all_distributed_journaled(
-    workers: Vec<Arc<dyn Transport>>,
-    workloads: &[WorkloadDef],
-    scale: Scale,
-    machine: &MachineConfig,
-    node: &NodeConfig,
-    journal: &mut bdb_engine::RunJournal,
-) -> Result<Vec<WorkloadProfile>, ClusterError> {
-    let tasks = fleet_tasks(workloads, scale, machine, node);
-    Coordinator::new(ClusterConfig::default()).run_journaled(workers, &tasks, journal)
-}

@@ -155,8 +155,11 @@ fn single_worker_cluster_matches_serial() {
 
 #[test]
 fn killed_coordinator_resumes_from_journal_without_rerunning_shards() {
-    use bdb_engine::{CacheFormat, CacheStore, RealFs, RunJournal};
+    use bdb_engine::{CacheStore, RealFs, RunJournal};
     use std::path::PathBuf;
+
+    // Membership is fixed at startup: the join channel is closed.
+    let closed_joins = || std::sync::mpsc::channel::<Arc<dyn Transport>>().1;
 
     let workloads: Vec<WorkloadDef> = catalog::full_catalog().into_iter().take(8).collect();
     let scale = Scale::tiny();
@@ -178,13 +181,13 @@ fn killed_coordinator_resumes_from_journal_without_rerunning_shards() {
     let completed = 5usize;
     {
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
-        let (mut journal, _) =
-            RunJournal::open(store, path.clone(), context, false, CacheFormat::Json);
+        let (mut journal, _) = RunJournal::open(store, path.clone(), context, false);
         let partial = Coordinator::new(test_config())
-            .run_journaled(
+            .run_elastic(
                 vec![spawn_worker("first-life", FaultPlan::default())],
+                closed_joins(),
                 &tasks[..completed],
-                &mut journal,
+                Some(&mut journal),
             )
             .expect("partial journaled run must converge");
         assert_eq!(partial.len(), completed);
@@ -195,14 +198,14 @@ fn killed_coordinator_resumes_from_journal_without_rerunning_shards() {
     // remaining shards, so any re-dispatch of a finished shard fails the
     // whole run — resumption must come purely from the journal.
     let store: Arc<dyn CacheStore> = Arc::new(RealFs);
-    let (mut journal, stats) = RunJournal::open(store, path, context, true, CacheFormat::Json);
+    let (mut journal, stats) = RunJournal::open(store, path, context, true);
     assert_eq!(
         stats.loaded_tasks, completed,
         "journal must replay all completed shards"
     );
     let remaining = (tasks.len() - completed) as u64;
     let resumed = Coordinator::new(test_config())
-        .run_journaled(
+        .run_elastic(
             vec![spawn_worker(
                 "second-life",
                 FaultPlan {
@@ -210,8 +213,9 @@ fn killed_coordinator_resumes_from_journal_without_rerunning_shards() {
                     ..FaultPlan::default()
                 },
             )],
+            closed_joins(),
             &tasks,
-            &mut journal,
+            Some(&mut journal),
         )
         .expect("resumed run must converge without re-dispatching finished shards");
     assert_eq!(

@@ -43,7 +43,7 @@
 //! choice is deterministic in the data.
 
 use crate::varint::{read_varint, unzigzag, write_varint, zigzag};
-use crate::{decode_record_of, encode_record, json, CodecError, RecordKind};
+use crate::{decode_record, encode_record, json, CodecError, RecordKind};
 
 const ENC_PLAIN: u8 = 0;
 const ENC_DELTA: u8 = 1;
@@ -639,7 +639,7 @@ fn read_section<'a>(
 
 /// Decodes a complete BDBC `TraceChunk` record into owned columns.
 pub fn decode_trace_chunk(record: &[u8]) -> Result<TraceChunkColumns, CodecError> {
-    let payload = decode_record_of(RecordKind::TraceChunk, record)?;
+    let (_, payload) = decode_record(record)?;
     Ok(TraceChunkView::parse(payload)?.to_columns())
 }
 
@@ -756,7 +756,7 @@ mod tests {
     fn zero_copy_view_iterates_without_materializing() {
         let columns = sample();
         let record = encode(&columns);
-        let payload = crate::decode_record_of(RecordKind::TraceChunk, &record).unwrap();
+        let (_, payload) = crate::decode_record(&record).unwrap();
         let view = TraceChunkView::parse(payload).unwrap();
         assert_eq!(view.len(), columns.len());
         assert!(view.pc().eq(columns.pc.iter().copied()));

@@ -2,11 +2,10 @@
 //! parser shared by every layer that touches bytes.
 //!
 //! This module is the **single** canonical-JSON implementation in the
-//! workspace — the engine's cache/journal, the cluster wire, and the
-//! linter's artifact passes all re-export it, so "canonical bytes" means
-//! exactly one thing everywhere. It is also the interchange form of the
-//! binary format in [`crate::bval`]: every binary record decodes to a
-//! [`Value`] whose JSON encoding is its debug/interchange representation.
+//! workspace — the engine's cache/journal, the cluster wire, `bdb-serve`
+//! and the linter's artifact passes all re-export it, so "canonical
+//! bytes" means exactly one thing everywhere. It is also the interchange
+//! form of the binary trace-chunk records in [`crate::columnar`].
 //!
 //! The workspace has no serde backend (see `vendor/README.md`), so all
 //! JSON is written and read through this hand-rolled codec. Two

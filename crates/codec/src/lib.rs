@@ -1,20 +1,21 @@
-//! `bdb-codec` — the workspace's byte-format authority: a versioned,
-//! CRC-64-checksummed, little-endian binary columnar format plus the
-//! canonical JSON reference form it interchanges with.
+//! `bdb-codec` — the workspace's byte-format authority: the canonical
+//! JSON record encoding plus a versioned, CRC-64-checksummed,
+//! little-endian binary container for trace chunks.
 //!
-//! Every layer that persists or ships bytes — the engine's profile cache
-//! and run journal, `TraceBuffer` chunk spill, and the cluster wire —
-//! encodes through this crate, in one of two forms:
+//! Every layer that persists or ships bytes encodes through this crate:
 //!
-//! * **Canonical JSON** ([`json`]): the human-readable debug/interchange
-//!   form. Byte-stable (`encode(decode(b)) == b`), shortest-roundtrip
-//!   floats, non-finite sentinels.
-//! * **BDBC binary records** (this module + [`bval`] + [`columnar`]): a
-//!   compact, little-endian container with a CRC-64/XZ trailer. Every
-//!   binary record decodes to a [`json::Value`] (or columnar struct)
-//!   whose JSON encoding round-trips losslessly back to the identical
+//! * **Canonical JSON** ([`json`]): the one record encoding — engine
+//!   cache entries and run-journal frames, cluster wire messages, and
+//!   `bdb-serve` requests and replies. Byte-stable
+//!   (`encode(decode(b)) == b`), shortest-roundtrip floats, non-finite
+//!   sentinels. Cache entries and journal frames carry their own CRC-64.
+//! * **BDBC binary records** (this module + [`columnar`]): a compact,
+//!   little-endian container with a CRC-64/XZ trailer, used for
+//!   `TraceBuffer` chunk spills, where the columnar encoding is roughly
+//!   14x smaller than JSON. Every chunk decodes to columns whose JSON
+//!   interchange form round-trips losslessly back to the identical
 //!   binary bytes — the `binary → JSON → binary` contract the golden
-//!   fixtures under `contracts/fixtures/` pin.
+//!   trace-chunk fixture under `contracts/fixtures/` pins.
 //!
 //! # Container layout (all integers little-endian)
 //!
@@ -44,7 +45,6 @@
 //! the engine's cache format version participates in the cache key, so
 //! schema bumps invalidate by key, not by in-place migration).
 
-pub mod bval;
 pub mod columnar;
 pub mod json;
 pub mod varint;
@@ -65,22 +65,13 @@ pub const HEADER_BYTES: usize = 16;
 /// Container trailer size in bytes (CRC-64 of the payload).
 pub const TRAILER_BYTES: usize = 8;
 
-/// What a BDBC record's payload contains.
+/// What a BDBC record's payload contains. Tags 2–6 are retired (older
+/// builds wrote binary cache, journal, wire and serve records under
+/// them) and decode as unknown kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
     /// A columnar trace chunk ([`columnar`]).
     TraceChunk,
-    /// A profile-cache entry (`[u64 LE fingerprint][bval profile]`).
-    CacheEntry,
-    /// A run-journal record ([`bval`] of the record object).
-    JournalRecord,
-    /// A cluster wire message ([`bval`] of the message object).
-    WireMessage,
-    /// A `bdb-serve` client request ([`bval`] of the request object).
-    ServeRequest,
-    /// A `bdb-serve` reply or subscription delta ([`bval`] of the
-    /// reply object).
-    ServeDelta,
 }
 
 impl RecordKind {
@@ -88,11 +79,6 @@ impl RecordKind {
     pub fn tag(self) -> u16 {
         match self {
             RecordKind::TraceChunk => 1,
-            RecordKind::CacheEntry => 2,
-            RecordKind::JournalRecord => 3,
-            RecordKind::WireMessage => 4,
-            RecordKind::ServeRequest => 5,
-            RecordKind::ServeDelta => 6,
         }
     }
 
@@ -100,11 +86,6 @@ impl RecordKind {
     pub fn from_tag(tag: u16) -> Option<Self> {
         match tag {
             1 => Some(RecordKind::TraceChunk),
-            2 => Some(RecordKind::CacheEntry),
-            3 => Some(RecordKind::JournalRecord),
-            4 => Some(RecordKind::WireMessage),
-            5 => Some(RecordKind::ServeRequest),
-            6 => Some(RecordKind::ServeDelta),
             _ => None,
         }
     }
@@ -125,13 +106,6 @@ pub enum CodecError {
     UnsupportedVersion(u16),
     /// The record kind tag is unknown.
     UnknownKind(u16),
-    /// The record kind is not what the caller expected.
-    WrongKind {
-        /// Kind the caller asked for.
-        expected: RecordKind,
-        /// Kind the record carries.
-        actual: RecordKind,
-    },
     /// The payload CRC-64 trailer does not match the payload.
     ChecksumMismatch {
         /// CRC stored in the trailer.
@@ -155,9 +129,6 @@ impl std::fmt::Display for CodecError {
             CodecError::BadMagic => write!(f, "missing BDBC magic"),
             CodecError::UnsupportedVersion(v) => write!(f, "unsupported container version {v}"),
             CodecError::UnknownKind(k) => write!(f, "unknown record kind {k}"),
-            CodecError::WrongKind { expected, actual } => {
-                write!(f, "expected a {expected:?} record, got {actual:?}")
-            }
             CodecError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "payload checksum mismatch (stored {stored:016x}, computed {computed:016x})"
@@ -169,14 +140,6 @@ impl std::fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
-
-/// Whether `bytes` look like a BDBC binary record (vs canonical JSON).
-/// Sniffing on the magic lets every reader stay format-agnostic: the
-/// `BDB_*_FORMAT` knobs select what gets *written*, while mixed-format
-/// caches, journals, and fleets always read cleanly.
-pub fn is_binary(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
-}
 
 /// Wraps `payload` in a BDBC container of the given kind.
 pub fn encode_record(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
@@ -242,66 +205,22 @@ pub fn decode_record_prefix(bytes: &[u8]) -> Result<(RecordKind, &[u8], usize), 
     Ok((kind, payload, end))
 }
 
-/// Builds the payload of a [`RecordKind::CacheEntry`] record:
-/// `[u64 LE fingerprint][bval(profile)]`. The container trailer
-/// checksums the whole payload, so the fingerprint is covered too.
-pub fn encode_cache_payload(fingerprint: u64, profile: &json::Value) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&fingerprint.to_le_bytes());
-    payload.extend_from_slice(&bval::encode_value(profile));
-    payload
-}
-
-/// Inverse of [`encode_cache_payload`].
-pub fn decode_cache_payload(payload: &[u8]) -> Result<(u64, json::Value), CodecError> {
-    if payload.len() < 8 {
-        return Err(CodecError::Truncated { at: payload.len() });
-    }
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&payload[..8]);
-    let fingerprint = u64::from_le_bytes(raw);
-    let profile = bval::decode_value(&payload[8..])?;
-    Ok((fingerprint, profile))
-}
-
-/// [`decode_record`] that also enforces the expected kind.
-pub fn decode_record_of(kind: RecordKind, bytes: &[u8]) -> Result<&[u8], CodecError> {
-    let (actual, payload) = decode_record(bytes)?;
-    if actual != kind {
-        return Err(CodecError::WrongKind {
-            expected: kind,
-            actual,
-        });
-    }
-    Ok(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn record_roundtrips_and_is_sniffable() {
+    fn record_roundtrips() {
         let payload = b"hello columnar world";
-        let record = encode_record(RecordKind::JournalRecord, payload);
-        assert!(is_binary(&record));
-        assert!(!is_binary(b"{\"format\":3}"));
+        let record = encode_record(RecordKind::TraceChunk, payload);
         let (kind, got) = decode_record(&record).unwrap();
-        assert_eq!(kind, RecordKind::JournalRecord);
+        assert_eq!(kind, RecordKind::TraceChunk);
         assert_eq!(got, payload);
-        assert_eq!(
-            decode_record_of(RecordKind::JournalRecord, &record).unwrap(),
-            payload
-        );
-        assert!(matches!(
-            decode_record_of(RecordKind::CacheEntry, &record),
-            Err(CodecError::WrongKind { .. })
-        ));
     }
 
     #[test]
     fn truncation_at_every_offset_is_detected() {
-        let record = encode_record(RecordKind::CacheEntry, b"payload bytes");
+        let record = encode_record(RecordKind::TraceChunk, b"payload bytes");
         for cut in 0..record.len() {
             assert!(
                 decode_record(&record[..cut]).is_err(),
@@ -313,31 +232,17 @@ mod tests {
 
     #[test]
     fn any_single_bit_flip_is_detected() {
-        // A flip in the kind byte may land on another *valid* kind tag;
-        // that is detected by the typed read path (`decode_record_of`
-        // returns `WrongKind`), not by the container decode itself.
-        // Every other flip must fail the untyped decode outright.
-        let record = encode_record(RecordKind::WireMessage, b"flip me");
+        // `TraceChunk` is the only valid kind tag, so a flip in the kind
+        // field is an unknown kind; every other flip fails the structural
+        // checks or the CRC.
+        let record = encode_record(RecordKind::TraceChunk, b"flip me");
         for bit in 0..record.len() * 8 {
             let mut damaged = record.clone();
             damaged[bit / 8] ^= 1 << (bit % 8);
-            match decode_record(&damaged) {
-                Err(_) => {}
-                Ok((kind, _)) => {
-                    assert_ne!(
-                        kind,
-                        RecordKind::WireMessage,
-                        "bit {bit} flip went undetected"
-                    );
-                    assert!(
-                        matches!(
-                            decode_record_of(RecordKind::WireMessage, &damaged),
-                            Err(CodecError::WrongKind { .. })
-                        ),
-                        "bit {bit} flip must surface as WrongKind on the typed path"
-                    );
-                }
-            }
+            assert!(
+                decode_record(&damaged).is_err(),
+                "bit {bit} flip went undetected"
+            );
         }
     }
 

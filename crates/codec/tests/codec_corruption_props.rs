@@ -2,80 +2,26 @@
 //!
 //! The engine-level suite (`cache_corruption_props.rs` in `bdb-engine`)
 //! proves damaged *cache entries* are detected and quarantined; this
-//! suite proves the same contract one layer down, for **every** binary
-//! record kind the workspace ships: starting from a genuine record,
-//! truncate it at every byte offset, flip random bits, and rewrite the
-//! version field — decoding must always be a clean, detected
-//! [`CodecError`], never a panic and never a wrong record. The lossless
+//! suite proves the same contract one layer down, for the trace-chunk
+//! record the workspace ships: starting from a genuine record, truncate
+//! it at every byte offset, flip random bits, and rewrite the version
+//! field — decoding must always be a clean, detected [`CodecError`],
+//! never a panic and never a wrong record. The lossless
 //! `binary → JSON → binary` interchange contract is pinned here too.
 
-use bdb_codec::json::Value;
-use bdb_codec::{bval, columnar, decode_record, encode_record, is_binary};
-use bdb_codec::{encode_cache_payload, CodecError, RecordKind, FORMAT_VERSION};
+use bdb_codec::{columnar, decode_record, CodecError, RecordKind, FORMAT_VERSION};
 use proptest::collection;
 use proptest::prelude::*;
 
-/// A representative [`Value`] with every scalar shape the engine emits:
-/// nested objects, arrays, integers, shortest-roundtrip floats, strings
-/// with escapes, booleans, and null.
-fn sample_value(tag: &str) -> Value {
-    let text = format!(
-        concat!(
-            "{{\"workload\":\"{}\",\"metrics\":{{\"ipc\":1.3229,\"l1_mpki\":27.5,",
-            "\"bandwidth_gbps\":-0.0625}},\"tags\":[\"bigdata\",\"ispass\",null,true,false],",
-            "\"shard\":42,\"note\":\"line\\nbreak \\\"quoted\\\"\"}}"
-        ),
-        tag
-    );
-    bdb_codec::json::parse(&text).expect("sample JSON parses")
-}
-
-/// One genuine record of each kind, built the way its owning layer
-/// builds it. The property tests damage copies, never the originals.
+/// One genuine trace-chunk record. The property tests damage copies,
+/// never the original.
 fn genuine_records() -> Vec<(RecordKind, Vec<u8>)> {
     let pc: Vec<u64> = (0..200).map(|i| 0x40_0000 + i * 4).collect();
     let arg: Vec<u64> = (0..200).map(|i| 0x7f00_0000 + i * 8).collect();
     let kind: Vec<u8> = (0..200).map(|i| (i % 7) as u8).collect();
     let aux: Vec<u8> = (0..200).map(|i| (i % 3) as u8).collect();
     let chunk = columnar::encode_trace_chunk(&pc, &arg, &kind, &aux).expect("columns agree");
-    vec![
-        (RecordKind::TraceChunk, chunk),
-        (
-            RecordKind::CacheEntry,
-            encode_record(
-                RecordKind::CacheEntry,
-                &encode_cache_payload(0x00c0_ffee_f00d_beef, &sample_value("cache")),
-            ),
-        ),
-        (
-            RecordKind::JournalRecord,
-            encode_record(
-                RecordKind::JournalRecord,
-                &bval::encode_value(&sample_value("journal")),
-            ),
-        ),
-        (
-            RecordKind::WireMessage,
-            encode_record(
-                RecordKind::WireMessage,
-                &bval::encode_value(&sample_value("wire")),
-            ),
-        ),
-        (
-            RecordKind::ServeRequest,
-            encode_record(
-                RecordKind::ServeRequest,
-                &bval::encode_value(&sample_value("serve_request")),
-            ),
-        ),
-        (
-            RecordKind::ServeDelta,
-            encode_record(
-                RecordKind::ServeDelta,
-                &bval::encode_value(&sample_value("serve_delta")),
-            ),
-        ),
-    ]
+    vec![(RecordKind::TraceChunk, chunk)]
 }
 
 /// Full strict decode of one record, through the kind-specific payload
@@ -88,45 +34,27 @@ fn deep_decode(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
             let columns = columnar::TraceChunkView::parse(payload)?.to_columns();
             columnar::encode_trace_chunk(&columns.pc, &columns.arg, &columns.kind, &columns.aux)
         }
-        RecordKind::CacheEntry => {
-            let (fingerprint, profile) = bdb_codec::decode_cache_payload(payload)?;
-            Ok(encode_record(
-                kind,
-                &encode_cache_payload(fingerprint, &profile),
-            ))
-        }
-        RecordKind::JournalRecord
-        | RecordKind::WireMessage
-        | RecordKind::ServeRequest
-        | RecordKind::ServeDelta => {
-            let value = bval::decode_value(payload)?;
-            Ok(encode_record(kind, &bval::encode_value(&value)))
-        }
     }
 }
 
 #[test]
 fn every_kind_roundtrips_binary_to_json_to_binary_losslessly() {
     for (kind, record) in genuine_records() {
-        assert!(is_binary(&record), "{kind:?} record carries the magic");
         // binary → decode → re-encode is byte-identical...
         let reencoded = deep_decode(&record).expect("pristine record decodes");
         assert_eq!(reencoded, record, "{kind:?} deep round-trip drifted");
         // ...and the trace chunk also survives the JSON interchange form.
-        if kind == RecordKind::TraceChunk {
-            let columns = columnar::decode_trace_chunk(&record).expect("chunk decodes");
-            let via_json =
-                columnar::trace_chunk_from_json(&columnar::trace_chunk_to_json(&columns))
-                    .expect("JSON interchange parses");
-            let back = columnar::encode_trace_chunk(
-                &via_json.pc,
-                &via_json.arg,
-                &via_json.kind,
-                &via_json.aux,
-            )
-            .expect("columns agree");
-            assert_eq!(back, record, "binary → JSON → binary drifted");
-        }
+        let columns = columnar::decode_trace_chunk(&record).expect("chunk decodes");
+        let via_json = columnar::trace_chunk_from_json(&columnar::trace_chunk_to_json(&columns))
+            .expect("JSON interchange parses");
+        let back = columnar::encode_trace_chunk(
+            &via_json.pc,
+            &via_json.arg,
+            &via_json.kind,
+            &via_json.aux,
+        )
+        .expect("columns agree");
+        assert_eq!(back, record, "binary → JSON → binary drifted");
     }
 }
 

@@ -1,19 +1,19 @@
-//! Golden binary fixtures: the committed bytes under
-//! `contracts/fixtures/` are the format's compatibility contract.
+//! Golden binary fixture: the committed trace-chunk bytes under
+//! `contracts/fixtures/` are the BDBC format's compatibility contract.
 //!
-//! Each fixture is one BDBC record built from fixed sample data, with a
-//! JSON interchange sidecar in exactly the shape `bdb-lint`'s
-//! `binary-stability` pass validates. This test re-derives all twelve
-//! files and diffs them byte-for-byte against the checkout, so *any*
-//! encoding change — field order, varint width, float formatting, CRC
-//! polynomial — fails CI until the change is deliberate and blessed:
+//! The fixture is one BDBC trace-chunk record built from fixed sample
+//! data, with a JSON interchange sidecar in exactly the shape
+//! `bdb-lint`'s `binary-stability` pass validates. This test re-derives
+//! both files and diffs them byte-for-byte against the checkout, so
+//! *any* encoding change — column order, varint width, CRC polynomial —
+//! fails CI until the change is deliberate and blessed:
 //!
 //! ```text
 //! BDB_BLESS=1 cargo test -p bdb-codec --test golden_fixtures
 //! ```
 
+use bdb_codec::columnar;
 use bdb_codec::json::Value;
-use bdb_codec::{bval, columnar, encode_cache_payload, encode_record, RecordKind};
 use std::path::PathBuf;
 
 fn fixtures_dir() -> PathBuf {
@@ -23,20 +23,8 @@ fn fixtures_dir() -> PathBuf {
     ))
 }
 
-fn sample_object(tag: &str) -> Value {
-    let text = format!(
-        concat!(
-            "{{\"kind\":\"{}\",\"metrics\":{{\"bandwidth_gbps\":4.75,\"ipc\":1.3229,",
-            "\"l1_mpki\":27.5,\"zero\":-0.0}},\"note\":\"fixture \\\"v1\\\"\\n\",",
-            "\"shards\":[1,2,3,null,true,false],\"tasks\":77}}"
-        ),
-        tag
-    );
-    bdb_codec::json::parse(&text).expect("sample JSON parses")
-}
-
-/// The six golden records and their JSON interchange sidecars, built
-/// from data fixed forever — never regenerate from live engine output.
+/// The golden record and its JSON interchange sidecar, built from data
+/// fixed forever — never regenerate from live engine output.
 fn golden() -> Vec<(&'static str, Vec<u8>, Value)> {
     let pc: Vec<u64> = (0..64).map(|i| 0x40_1000 + i * 4).collect();
     let arg: Vec<u64> = (0..64).map(|i| 0x7ffe_0000 + i * 8).collect();
@@ -45,55 +33,7 @@ fn golden() -> Vec<(&'static str, Vec<u8>, Value)> {
     let chunk = columnar::encode_trace_chunk(&pc, &arg, &kind, &aux).expect("columns agree");
     let chunk_json =
         columnar::trace_chunk_to_json(&columnar::TraceChunkColumns { pc, arg, kind, aux });
-
-    let fingerprint = 0x00c0_ffee_f00d_beefu64;
-    let profile = sample_object("cache_entry");
-    let cache = encode_record(
-        RecordKind::CacheEntry,
-        &encode_cache_payload(fingerprint, &profile),
-    );
-    let cache_json = Value::object(vec![
-        ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
-        ("profile", profile),
-    ]);
-
-    let journal_value = sample_object("journal_record");
-    let journal = encode_record(
-        RecordKind::JournalRecord,
-        &bval::encode_value(&journal_value),
-    );
-    let wire_value = sample_object("wire_message");
-    let wire = encode_record(RecordKind::WireMessage, &bval::encode_value(&wire_value));
-
-    // Serve-protocol fixtures, shaped like real `bdb-serve` frames: a
-    // knob mutation request and the delta batch it fans out. The shapes
-    // are frozen sample data, not live protocol output.
-    let request_value = bdb_codec::json::parse(concat!(
-        "{\"id\":7,\"mutation\":{\"config\":\"xeon\",\"knob\":\"l1d.size_bytes\",",
-        "\"op\":\"set_knob\",\"value\":65536},\"type\":\"mutate\"}"
-    ))
-    .expect("serve request JSON parses");
-    let request = encode_record(
-        RecordKind::ServeRequest,
-        &bval::encode_value(&request_value),
-    );
-    let delta_value = bdb_codec::json::parse(concat!(
-        "{\"deltas\":[{\"key\":\"xeon/H-WordCount\",\"kind\":\"updated\",",
-        "\"profile\":{\"ipc\":1.3229,\"l1_mpki\":27.5}},",
-        "{\"key\":\"xeon/M-Sort\",\"kind\":\"deleted\"}],",
-        "\"seq\":42,\"type\":\"delta\"}"
-    ))
-    .expect("serve delta JSON parses");
-    let delta = encode_record(RecordKind::ServeDelta, &bval::encode_value(&delta_value));
-
-    vec![
-        ("trace_chunk", chunk, chunk_json),
-        ("cache_entry", cache, cache_json),
-        ("journal_record", journal, journal_value),
-        ("wire_message", wire, wire_value),
-        ("serve_request", request, request_value),
-        ("serve_delta", delta, delta_value),
-    ]
+    vec![("trace_chunk", chunk, chunk_json)]
 }
 
 #[test]

@@ -4,12 +4,10 @@
 //! the same framing discipline as the cluster wire protocol
 //! (`crates/cluster/src/wire.rs`): a 4-byte big-endian payload length,
 //! the payload, then a big-endian CRC-64 of the payload. The payload is
-//! either a canonical-JSON record or a BDBC `JournalRecord` (per the
-//! engine's [`CacheFormat`]); loading sniffs each payload's bytes, so a
-//! journal written in one format resumes under the other. The
-//! journal checkpoints every completed profile and sweep, so an
-//! interrupted `profile_all`, sweep campaign, or cluster coordinator
-//! resumes exactly where it stopped instead of re-running finished work.
+//! one canonical-JSON record. The journal checkpoints every completed
+//! profile and sweep, so an interrupted `profile_all`, sweep campaign, or
+//! cluster coordinator resumes exactly where it stopped instead of
+//! re-running finished work.
 //!
 //! Crash tolerance is structural: a crash (or injected torn write) can
 //! only damage the *tail* of an append-only file, and the per-record CRC
@@ -31,7 +29,6 @@
 use crate::codec;
 use crate::json::Value;
 use crate::store::{crc64, CacheStore, StoreError};
-use crate::CacheFormat;
 use bdb_sim::SweepResult;
 use bdb_wcrt::WorkloadProfile;
 use std::collections::BTreeMap;
@@ -70,7 +67,6 @@ struct Loaded {
 pub struct RunJournal {
     store: Arc<dyn CacheStore>,
     path: PathBuf,
-    format: CacheFormat,
     tasks: BTreeMap<u64, WorkloadProfile>,
     sweeps: BTreeMap<u64, SweepResult>,
     broken: bool,
@@ -85,14 +81,12 @@ impl RunJournal {
     /// [`completed_sweep`](Self::completed_sweep), and any damaged tail
     /// is truncated away. Without `resume`, or when the context does not
     /// match, the file is overwritten with a fresh journal containing
-    /// just the `start` record. `format` selects the payload encoding
-    /// for new records; loading accepts both regardless.
+    /// just the `start` record.
     pub fn open(
         store: Arc<dyn CacheStore>,
         path: PathBuf,
         context: &str,
         resume: bool,
-        format: CacheFormat,
     ) -> (RunJournal, JournalStats) {
         let mut stats = JournalStats::default();
         if resume {
@@ -116,7 +110,6 @@ impl RunJournal {
                             RunJournal {
                                 store,
                                 path,
-                                format,
                                 tasks: loaded.tasks,
                                 sweeps: loaded.sweeps,
                                 broken,
@@ -138,7 +131,7 @@ impl RunJournal {
             ("kind", Value::Str("start".to_owned())),
             ("context", Value::Str(context.to_owned())),
         ]);
-        let broken = match store.write(&path, &frame(&start, format)) {
+        let broken = match store.write(&path, &frame(&start)) {
             Ok(()) => false,
             Err(_) => {
                 stats.io_errors += 1;
@@ -149,7 +142,6 @@ impl RunJournal {
             RunJournal {
                 store,
                 path,
-                format,
                 tasks: BTreeMap::new(),
                 sweeps: BTreeMap::new(),
                 broken,
@@ -202,7 +194,7 @@ impl RunJournal {
             ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
             ("profile", codec::profile_to_value(profile)),
         ]);
-        match self.store.append(&self.path, &frame(&record, self.format)) {
+        match self.store.append(&self.path, &frame(&record)) {
             Ok(()) => {
                 self.tasks.insert(fingerprint, profile.clone());
                 Ok(true)
@@ -225,7 +217,7 @@ impl RunJournal {
             ("key", Value::Str(format!("{key:016x}"))),
             ("result", codec::sweep_result_to_value(result)),
         ]);
-        match self.store.append(&self.path, &frame(&record, self.format)) {
+        match self.store.append(&self.path, &frame(&record)) {
             Ok(()) => {
                 self.sweeps.insert(key, result.clone());
                 Ok(true)
@@ -248,7 +240,7 @@ impl RunJournal {
             ("kind", Value::Str("assign".to_owned())),
             ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
         ]);
-        match self.store.append(&self.path, &frame(&record, self.format)) {
+        match self.store.append(&self.path, &frame(&record)) {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.broken = true;
@@ -335,15 +327,9 @@ pub fn sweep_key(label: &str, capacities_kib: &[u64]) -> u64 {
 }
 
 /// One framed record: `[u32 BE payload len][payload][u64 BE CRC-64]`.
-/// The payload is canonical JSON or a BDBC `JournalRecord` per `format`.
-fn frame(record: &Value, format: CacheFormat) -> Vec<u8> {
-    let payload = match format {
-        CacheFormat::Json => record.encode().into_bytes(),
-        CacheFormat::Binary => bdb_codec::encode_record(
-            bdb_codec::RecordKind::JournalRecord,
-            &bdb_codec::bval::encode_value(record),
-        ),
-    };
+/// The payload is the record's canonical JSON.
+fn frame(record: &Value) -> Vec<u8> {
+    let payload = record.encode().into_bytes();
     let mut out = Vec::with_capacity(payload.len() + 12);
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(&payload);
@@ -351,19 +337,13 @@ fn frame(record: &Value, format: CacheFormat) -> Vec<u8> {
     out
 }
 
-/// Sniffs a frame payload's encoding from its bytes and decodes it:
-/// BDBC-magic payloads are binary journal records, anything else is
-/// canonical JSON. `None` on any decode failure (a damaged tail).
+/// Decodes a frame payload's canonical JSON. `None` on any decode
+/// failure, which loading treats like a damaged tail (so does a binary
+/// frame written by older builds).
 fn decode_payload(payload: &[u8]) -> Option<Value> {
-    if bdb_codec::is_binary(payload) {
-        let inner =
-            bdb_codec::decode_record_of(bdb_codec::RecordKind::JournalRecord, payload).ok()?;
-        bdb_codec::bval::decode_value(inner).ok()
-    } else {
-        std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| crate::json::parse(text).ok())
-    }
+    std::str::from_utf8(payload)
+        .ok()
+        .and_then(|text| crate::json::parse(text).ok())
 }
 
 /// Decodes the frame at `offset`; `None` when it is short, oversized,
@@ -436,16 +416,14 @@ mod tests {
         let p = sample_profile("H-WordCount");
         let s = sample_sweep();
 
-        let (mut journal, stats) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", false, CacheFormat::Json);
+        let (mut journal, stats) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
         assert_eq!(stats, JournalStats::default());
         assert!(journal.record_task(0xabc, &p).unwrap());
         assert!(!journal.record_task(0xabc, &p).unwrap(), "dedup");
         assert!(journal.record_sweep(0xdef, &s).unwrap());
         journal.record_assign(0x123).unwrap();
 
-        let (resumed, stats) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", true, CacheFormat::Json);
+        let (resumed, stats) = RunJournal::open(store.clone(), path.clone(), "ctx", true);
         assert_eq!((stats.loaded_tasks, stats.loaded_sweeps), (1, 1));
         assert_eq!(stats.discarded_bytes, 0);
         assert!(!stats.reset);
@@ -466,8 +444,7 @@ mod tests {
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
         let p = sample_profile("H-WordCount");
-        let (mut journal, _) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", false, CacheFormat::Json);
+        let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
         journal.record_task(1, &p).unwrap();
         let good = std::fs::read(&path).unwrap();
         let good_len = good.len();
@@ -482,8 +459,7 @@ mod tests {
             let mut torn = good.clone();
             torn.extend_from_slice(&record2[..cut]);
             std::fs::write(&path, &torn).unwrap();
-            let (resumed, stats) =
-                RunJournal::open(store.clone(), path.clone(), "ctx", true, CacheFormat::Json);
+            let (resumed, stats) = RunJournal::open(store.clone(), path.clone(), "ctx", true);
             assert_eq!(stats.loaded_tasks, 1, "cut {cut}");
             assert_eq!(stats.discarded_bytes, cut, "cut {cut}");
             assert!(resumed.completed_task(1).is_some());
@@ -503,8 +479,7 @@ mod tests {
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
         let p = sample_profile("H-WordCount");
-        let (mut journal, _) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", false, CacheFormat::Json);
+        let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
         journal.record_task(1, &p).unwrap();
         let good_len = std::fs::read(&path).unwrap().len();
         journal.record_task(2, &p).unwrap();
@@ -514,7 +489,7 @@ mod tests {
         let target = good_len + 20;
         bytes[target] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let (resumed, stats) = RunJournal::open(store, path, "ctx", true, CacheFormat::Json);
+        let (resumed, stats) = RunJournal::open(store, path, "ctx", true);
         assert_eq!(stats.loaded_tasks, 1);
         assert!(stats.discarded_bytes > 0);
         assert!(resumed.completed_task(2).is_none());
@@ -527,25 +502,13 @@ mod tests {
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
         let p = sample_profile("H-WordCount");
-        let (mut journal, _) = RunJournal::open(
-            store.clone(),
-            path.clone(),
-            "run A",
-            false,
-            CacheFormat::Json,
-        );
+        let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "run A", false);
         journal.record_task(1, &p).unwrap();
-        let (resumed, stats) = RunJournal::open(
-            store.clone(),
-            path.clone(),
-            "run B",
-            true,
-            CacheFormat::Json,
-        );
+        let (resumed, stats) = RunJournal::open(store.clone(), path.clone(), "run B", true);
         assert!(stats.reset, "different context must not replay");
         assert_eq!(resumed.task_count(), 0);
         // And the reset journal is usable under the new context.
-        let (again, stats) = RunJournal::open(store, path, "run B", true, CacheFormat::Json);
+        let (again, stats) = RunJournal::open(store, path, "run B", true);
         assert!(!stats.reset);
         assert_eq!(again.task_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -557,62 +520,37 @@ mod tests {
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
         let p = sample_profile("H-WordCount");
-        let (mut journal, _) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", false, CacheFormat::Json);
+        let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
         journal.record_task(1, &p).unwrap();
-        let (fresh, stats) = RunJournal::open(store, path, "ctx", false, CacheFormat::Json);
+        let (fresh, stats) = RunJournal::open(store, path, "ctx", false);
         assert_eq!(fresh.task_count(), 0);
         assert_eq!(stats.loaded_tasks, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn binary_journal_resumes_in_either_format() {
-        let dir = scratch("binary");
+    fn binary_frame_from_an_older_build_ends_the_valid_prefix() {
+        // Older builds could frame BDBC binary payloads. Such a frame has
+        // a good CRC but is not JSON, so resume keeps everything before
+        // it and truncates the rest like a damaged tail.
+        let dir = scratch("legacy-binary");
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
-        let p = sample_profile("H-WordCount");
-        let s = sample_sweep();
-        let (mut journal, _) = RunJournal::open(
-            store.clone(),
-            path.clone(),
-            "ctx",
-            false,
-            CacheFormat::Binary,
-        );
-        assert!(journal.record_task(0xabc, &p).unwrap());
-        assert!(journal.record_sweep(0xdef, &s).unwrap());
-        let binary_len = std::fs::metadata(&path).unwrap().len();
-
-        // A JSON-configured engine resumes the binary journal: loading
-        // sniffs each payload, so the format knob never strands a run.
-        let (resumed, stats) =
-            RunJournal::open(store.clone(), path.clone(), "ctx", true, CacheFormat::Json);
-        assert_eq!((stats.loaded_tasks, stats.loaded_sweeps), (1, 1));
-        assert_eq!(
-            crate::codec::profile_to_value(resumed.completed_task(0xabc).unwrap()).encode(),
-            crate::codec::profile_to_value(&p).encode(),
-        );
-        assert_eq!(resumed.completed_sweep(0xdef).unwrap(), &s);
-
-        // The binary journal is smaller than the same records framed as
-        // canonical JSON (modestly — profiles are float-heavy; the big
-        // wins are in the columnar trace chunks).
-        let json_path = dir.join("run-json.wal");
-        let (mut json_journal, _) = RunJournal::open(
-            store.clone(),
-            json_path.clone(),
-            "ctx",
-            false,
-            CacheFormat::Json,
-        );
-        json_journal.record_task(0xabc, &p).unwrap();
-        json_journal.record_sweep(0xdef, &s).unwrap();
-        let json_len = std::fs::metadata(&json_path).unwrap().len();
-        assert!(
-            binary_len * 4 < json_len * 3,
-            "binary journal ({binary_len} B) should be at least 25% under the JSON one ({json_len} B)"
-        );
+        let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
+        journal.record_sweep(0xdef, &sample_sweep()).unwrap();
+        let valid_len = std::fs::metadata(&path).unwrap().len() as usize;
+        let binary = b"BDBC\x01\x00\x03\x00legacy journal record";
+        let mut legacy = Vec::new();
+        legacy.extend_from_slice(&(binary.len() as u32).to_be_bytes());
+        legacy.extend_from_slice(binary);
+        legacy.extend_from_slice(&crc64(binary).to_be_bytes());
+        store.append(&path, &legacy).unwrap();
+        journal.record_sweep(0xabc, &sample_sweep()).unwrap();
+        let (resumed, stats) = RunJournal::open(store, path.clone(), "ctx", true);
+        assert_eq!((stats.loaded_tasks, stats.loaded_sweeps), (0, 1));
+        assert!(resumed.completed_sweep(0xdef).is_some());
+        assert!(resumed.completed_sweep(0xabc).is_none());
+        assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, valid_len);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

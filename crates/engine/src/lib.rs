@@ -26,12 +26,11 @@
 //! checkpoints completed profiles and sweeps so an interrupted run
 //! resumes (`BDB_RESUME`) byte-identical to an uninterrupted one.
 //!
-//! Capacity sweeps run the workload generator exactly **once** in either
-//! [`SweepMode`]: the default fused mode streams its events into
-//! capacity-independent L1 event streams and replays those per capacity
-//! (trace-once/replay-many, DESIGN.md §13); per-point mode records the
-//! trace into a pooled buffer and replays a full machine per capacity.
-//! Points parallelize across the pool (each is independent) but are
+//! Capacity sweeps run the workload generator exactly **once**: its
+//! events stream into capacity-independent L1 event streams that are
+//! replayed per capacity (trace-once/replay-many, DESIGN.md §13). The
+//! per-point reference semantics live on as `bdb_sim` functions the
+//! tests compare against. Points parallelize across the pool (each is independent) but are
 //! *not* cached: a sweep is driven by an arbitrary workload closure
 //! whose content cannot be fingerprinted.
 //!
@@ -69,10 +68,9 @@ pub use task::{resolve_workload, Task, TaskError, TaskResult};
 
 use bdb_node::NodeConfig;
 use bdb_sim::{
-    assemble_sweep, fused_points_parallel, sweep_point_replay, MachineConfig, StreamArena,
-    SweepFamily, SweepResult,
+    assemble_sweep, fused_points_parallel, MachineConfig, StreamArena, SweepFamily, SweepResult,
 };
-use bdb_trace::{TraceBufferPool, TraceSink};
+use bdb_trace::TraceSink;
 use bdb_wcrt::{profile_workload, WorkloadProfile};
 use bdb_workloads::{Scale, WorkloadDef};
 use rayon::prelude::*;
@@ -88,44 +86,10 @@ use std::sync::{Arc, Mutex};
 /// [`profile_fingerprint`], so old-format files simply stop being
 /// referenced (their keys no longer occur) and fresh entries are written
 /// under new names. Version 2 added the `crc64` content checksum;
-/// version 3 moved the canonical encoder into `bdb-codec` and added the
-/// binary (BDBC) entry form selected by [`CacheFormat`].
+/// version 3 moved the canonical encoder into `bdb-codec`. (Version 3
+/// also briefly had a binary `.bin` entry form; it is gone, and such
+/// files are ignored.)
 pub const CACHE_FORMAT_VERSION: u64 = 3;
-
-/// On-disk encoding for cache entries and journal frame payloads.
-/// Readers sniff the bytes (the binary container opens with the `BDBC`
-/// magic, which can never begin a JSON entry), so the two formats
-/// interoperate: the knob only chooses what new writes look like.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CacheFormat {
-    /// One canonical-JSON envelope per entry (`.json`) — the
-    /// human-readable debug/interchange form.
-    #[default]
-    Json,
-    /// One checksummed BDBC binary record per entry (`.bin`) — the
-    /// compact form; losslessly convertible to and from the JSON form.
-    Binary,
-}
-
-impl CacheFormat {
-    /// File extension entries of this format are stored under.
-    pub fn extension(self) -> &'static str {
-        match self {
-            CacheFormat::Json => "json",
-            CacheFormat::Binary => "bin",
-        }
-    }
-
-    /// The other format — the read path falls back to it so flipping
-    /// `BDB_CACHE_FORMAT` over an existing cache re-serves entries
-    /// instead of recomputing them.
-    pub fn other(self) -> Self {
-        match self {
-            CacheFormat::Json => CacheFormat::Binary,
-            CacheFormat::Binary => CacheFormat::Json,
-        }
-    }
-}
 
 /// Subdirectory of the cache dir where entries that fail verification
 /// are moved (bytes preserved for forensics, never reused or
@@ -140,18 +104,6 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// the threshold. The value is roughly where the parallel path breaks
 /// even on commodity cores: a few million replayed events.
 pub const POINT_PARALLEL_MIN_WORK: u64 = 8 * 1024 * 1024;
-
-/// How [`Engine::sweep`] computes its points.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SweepMode {
-    /// Trace once, replay the extracted L1 streams per capacity (the
-    /// fast path; byte-identical to `PerPoint` by contract).
-    #[default]
-    Fused,
-    /// Re-run the workload on a full machine per capacity — the
-    /// reference path, kept as the oracle and escape hatch.
-    PerPoint,
-}
 
 /// How an [`Engine`] runs and where it remembers results.
 #[derive(Clone, Default)]
@@ -175,11 +127,6 @@ pub struct EngineConfig {
     /// directory past the cap, least-recently-used entries (hits refresh
     /// recency) are evicted until it fits. `None` means unbounded.
     pub cache_max_bytes: Option<u64>,
-    /// Encoding for new cache entries and journal frames (JSON by
-    /// default; readers accept both regardless).
-    pub cache_format: CacheFormat,
-    /// Sweep execution strategy (fused trace-replay by default).
-    pub sweep_mode: SweepMode,
     /// Storage backend behind every engine filesystem access. `None`
     /// uses the real filesystem ([`RealFs`]); chaos tests inject a
     /// seeded [`ChaosFs`].
@@ -204,8 +151,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("cache_dir", &self.cache_dir)
             .field("no_memory_cache", &self.no_memory_cache)
             .field("cache_max_bytes", &self.cache_max_bytes)
-            .field("cache_format", &self.cache_format)
-            .field("sweep_mode", &self.sweep_mode)
             .field("store", &self.store.as_ref().map(|_| "<custom>"))
             .field("journal_path", &self.journal_path)
             .field("resume", &self.resume)
@@ -249,20 +194,6 @@ impl EngineConfig {
     #[must_use]
     pub fn cache_max_bytes(mut self, bytes: u64) -> Self {
         self.cache_max_bytes = Some(bytes);
-        self
-    }
-
-    /// Selects the encoding for new cache entries and journal frames.
-    #[must_use]
-    pub fn cache_format(mut self, format: CacheFormat) -> Self {
-        self.cache_format = format;
-        self
-    }
-
-    /// Selects the sweep execution strategy.
-    #[must_use]
-    pub fn sweep_mode(mut self, mode: SweepMode) -> Self {
-        self.sweep_mode = mode;
         self
     }
 
@@ -310,13 +241,6 @@ impl EngineConfig {
     ///   serial; see [`POINT_PARALLEL_MIN_WORK`]).
     /// * `BDB_CACHE_MAX_BYTES=<n>` — cap the disk cache; LRU entries are
     ///   evicted past the cap (default: unbounded).
-    /// * `BDB_CACHE_FORMAT=binary` — persist new cache entries and
-    ///   journal frames as checksummed BDBC binary records instead of
-    ///   canonical JSON (default: `json`). Readers sniff the bytes, so
-    ///   the two formats interoperate in one cache directory.
-    /// * `BDB_SWEEP_MODE=per-point` — use the per-point reference sweep
-    ///   instead of the fused trace-replay path (default: `fused`; the
-    ///   two are byte-identical by contract).
     /// * `BDB_JOURNAL=<path>` — write-ahead run journal checkpointing
     ///   completed profiles and sweeps (default: none).
     /// * `BDB_RESUME=1` — resume completed work from the journal
@@ -349,16 +273,6 @@ impl EngineConfig {
             .and_then(|b| b.parse().ok())
         {
             config = config.cache_max_bytes(bytes);
-        }
-        if let Ok(format) = std::env::var("BDB_CACHE_FORMAT") {
-            if matches!(format.as_str(), "binary" | "bin" | "bdbc") {
-                config = config.cache_format(CacheFormat::Binary);
-            }
-        }
-        if let Ok(mode) = std::env::var("BDB_SWEEP_MODE") {
-            if matches!(mode.as_str(), "per-point" | "perpoint" | "per_point") {
-                config = config.sweep_mode(SweepMode::PerPoint);
-            }
         }
         if let Some(path) = std::env::var_os("BDB_JOURNAL") {
             config = config.journal(PathBuf::from(path));
@@ -438,15 +352,9 @@ pub struct Engine {
     store: Arc<dyn CacheStore>,
     cache_dir: Option<PathBuf>,
     cache_max_bytes: Option<u64>,
-    cache_format: CacheFormat,
-    sweep_mode: SweepMode,
     /// Threads one sweep fans its capacity points across (`None` =
     /// derive from the pool, threshold-gated).
     point_threads: Option<usize>,
-    /// Recycled trace buffers for per-point sweeps (which record once and
-    /// replay a full machine per capacity): consecutive sweeps and
-    /// concurrent sweep callers reuse recorded-trace chunk allocations.
-    buffers: TraceBufferPool,
     /// Recycled RLE stream buffers for fused sweeps — repeated sweeps
     /// reuse the extracted-stream vectors instead of reallocating them.
     streams: StreamArena,
@@ -488,13 +396,8 @@ impl Engine {
             .map_or(0, |dir| reclaim_stale_tmp(store.as_ref(), dir));
         let mut disk_errors = 0u64;
         let journal = config.journal_path.map(|path| {
-            let (journal, stats) = RunJournal::open(
-                store.clone(),
-                path,
-                &config.journal_context,
-                config.resume,
-                config.cache_format,
-            );
+            let (journal, stats) =
+                RunJournal::open(store.clone(), path, &config.journal_context, config.resume);
             disk_errors += stats.io_errors;
             Mutex::new(journal)
         });
@@ -503,10 +406,7 @@ impl Engine {
             store,
             cache_dir,
             cache_max_bytes: config.cache_max_bytes,
-            cache_format: config.cache_format,
-            sweep_mode: config.sweep_mode,
             point_threads: config.point_threads,
-            buffers: TraceBufferPool::new(),
             streams: StreamArena::new(),
             // bdb-lint: allow(determinism): keyed-lookup-only memo.
             memory: (!config.no_memory_cache).then(|| Mutex::new(HashMap::new())),
@@ -624,9 +524,7 @@ impl Engine {
             .iter()
             .filter_map(|meta| {
                 let name = meta.path.file_name()?.to_str()?;
-                let stem = name
-                    .strip_suffix(".json")
-                    .or_else(|| name.strip_suffix(".bin"))?;
+                let stem = name.strip_suffix(".json")?;
                 let (_, hex) = stem.rsplit_once('-')?;
                 if hex.len() != 16 {
                     return None;
@@ -676,7 +574,7 @@ impl Engine {
         let key = profile_fingerprint(&workload.spec.id, scale, machine, node);
         self.cache_dir
             .as_ref()
-            .map(|dir| dir.join(cache_file_name(&workload.spec.id, key, self.cache_format)))
+            .map(|dir| dir.join(cache_file_name(&workload.spec.id, key)))
     }
 
     /// Profiles one workload, consulting the caches first.
@@ -745,17 +643,15 @@ impl Engine {
     /// [`POINT_PARALLEL_MIN_WORK`]; `BDB_POINT_THREADS` overrides).
     /// Equivalent to [`bdb_sim::sweep`]; the curves are assembled in
     /// `capacities_kib` order, so output is identical at any thread
-    /// count and in either [`SweepMode`].
+    /// count.
     ///
-    /// Either mode runs the workload generator exactly **once**. In the
-    /// default fused mode its events stream straight into the extracted
-    /// L1 event streams ([`bdb_sim::SweepStreams::record`] — no trace is
-    /// materialized) and each capacity point replays those streams
-    /// ([`bdb_sim::fused_point`]). In per-point mode
-    /// (`BDB_SWEEP_MODE=per-point`) the trace is recorded into a pooled
-    /// buffer and a full machine replays it per capacity
-    /// ([`bdb_sim::sweep_point_replay`]) — the reference semantics, one
-    /// whole machine per point, without re-generating.
+    /// The workload generator runs exactly **once**: its events stream
+    /// straight into the extracted L1 event streams
+    /// ([`bdb_sim::SweepStreams::record`] — no trace is materialized)
+    /// and each capacity point replays those streams
+    /// ([`bdb_sim::fused_point`]). The result is byte-identical to the
+    /// reference semantics of one whole machine per point
+    /// ([`bdb_sim::sweep_point_replay`]), which the tests check.
     ///
     /// # Panics
     ///
@@ -831,49 +727,12 @@ impl Engine {
                 return result;
             }
         }
-        let cap_width = |fanout: usize| match fanout_cap {
-            Some(cap) => fanout.min(cap.max(1)),
-            None => fanout,
-        };
-        let points = match self.sweep_mode {
-            SweepMode::Fused => {
-                let mut streams = self.streams.checkout();
-                streams.record_into(|sink| workload(sink));
-                let family = SweepFamily::atom();
-                let fanout =
-                    cap_width(self.point_fanout(streams.event_count(), capacities_kib.len()));
-                let points = fused_points_parallel(&family, capacities_kib, &streams, fanout);
-                self.streams.checkin(streams);
-                points
-            }
-            SweepMode::PerPoint => {
-                let mut buffer = self.buffers.checkout();
-                workload(&mut buffer);
-                let fanout = cap_width(self.point_fanout(buffer.len(), capacities_kib.len()));
-                let points = if fanout <= 1 {
-                    capacities_kib
-                        .iter()
-                        .map(|&kib| sweep_point_replay(kib, &buffer))
-                        .collect()
-                } else {
-                    match rayon::ThreadPoolBuilder::new().num_threads(fanout).build() {
-                        Ok(pool) => pool.install(|| {
-                            capacities_kib
-                                .par_iter()
-                                .map(|&kib| sweep_point_replay(kib, &buffer))
-                                .collect()
-                        }),
-                        // Degradation is safe: same bytes, serially.
-                        Err(_) => capacities_kib
-                            .iter()
-                            .map(|&kib| sweep_point_replay(kib, &buffer))
-                            .collect(),
-                    }
-                };
-                self.buffers.checkin(buffer);
-                points
-            }
-        };
+        let mut streams = self.streams.checkout();
+        streams.record_into(|sink| workload(sink));
+        let fanout = self.point_fanout(streams.event_count(), capacities_kib.len());
+        let fanout = fanout_cap.map_or(fanout, |cap| fanout.min(cap.max(1)));
+        let points = fused_points_parallel(&SweepFamily::atom(), capacities_kib, &streams, fanout);
+        self.streams.checkin(streams);
         let result = assemble_sweep(label, capacities_kib, points);
         if let Some(journal) = &self.journal {
             if lock_journal(journal).record_sweep(key, &result).is_err() {
@@ -898,33 +757,30 @@ impl Engine {
 
     fn read_cache_file(&self, id: &str, key: u64) -> Option<WorkloadProfile> {
         let dir = self.cache_dir.as_ref()?;
-        // Prefer the configured format, then fall back to the other
-        // extension: flipping `BDB_CACHE_FORMAT` over an existing cache
-        // keeps serving the old entries instead of recomputing.
-        for format in [self.cache_format, self.cache_format.other()] {
-            let path = dir.join(cache_file_name(id, key, format));
-            let bytes = match self.store.read(&path) {
-                Ok(Some(bytes)) => bytes,
-                Ok(None) => continue,
-                Err(_) => {
-                    self.disk_errors.fetch_add(1, Ordering::Relaxed);
-                    continue;
+        let path = dir.join(cache_file_name(id, key));
+        let bytes = match self.store.read(&path) {
+            Ok(Some(bytes)) => bytes,
+            Ok(None) => return None,
+            Err(_) => {
+                self.disk_errors.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+        };
+        match verify_cache_entry(&bytes, key) {
+            Ok(profile) => {
+                // A hit refreshes the entry's recency so LRU eviction
+                // spares hot entries. Best-effort: a failed touch only
+                // skews eviction order.
+                if self.cache_max_bytes.is_some() {
+                    let _ = self.store.touch(&path);
                 }
-            };
-            match verify_cache_entry(&bytes, key) {
-                Ok(profile) => {
-                    // A hit refreshes the entry's recency so LRU eviction
-                    // spares hot entries. Best-effort: a failed touch only
-                    // skews eviction order.
-                    if self.cache_max_bytes.is_some() {
-                        let _ = self.store.touch(&path);
-                    }
-                    return Some(profile);
-                }
-                Err(_) => self.quarantine(dir, &path),
+                Some(profile)
+            }
+            Err(_) => {
+                self.quarantine(dir, &path);
+                None
             }
         }
-        None
     }
 
     /// Moves an entry that failed verification into [`QUARANTINE_DIR`]:
@@ -956,17 +812,14 @@ impl Engine {
         let Some(dir) = &self.cache_dir else {
             return;
         };
-        let path = dir.join(cache_file_name(id, key, self.cache_format));
-        let bytes = encode_cache_entry(key, profile, self.cache_format);
+        let name = cache_file_name(id, key);
+        let path = dir.join(&name);
+        let bytes = encode_cache_entry(key, profile);
         // Write-to-temp + rename so concurrent engines never observe a
         // half-written entry; all writers produce identical bytes, so the
         // last rename winning is harmless. Both failure arms remove the
         // temp file — a failed write used to leak its partial `.tmp`.
-        let tmp = dir.join(format!(
-            ".{}.tmp{}",
-            cache_file_name(id, key, self.cache_format),
-            std::process::id()
-        ));
+        let tmp = dir.join(format!(".{name}.tmp{}", std::process::id()));
         match self.store.write(&tmp, &bytes) {
             Ok(()) => {
                 if self.store.rename(&tmp, &path).is_err() {
@@ -994,7 +847,7 @@ impl Engine {
 }
 
 /// Removes stale temp files left by crashed writers. They are invisible
-/// to [`enforce_cache_cap`] (which only counts `.json` / `.bin`), so
+/// to [`enforce_cache_cap`] (which only counts `.json` entries), so
 /// without this startup sweep they would accumulate forever.
 fn reclaim_stale_tmp(store: &dyn CacheStore, dir: &Path) -> u64 {
     let Ok(files) = store.list(dir) else {
@@ -1015,7 +868,7 @@ fn reclaim_stale_tmp(store: &dyn CacheStore, dir: &Path) -> u64 {
 }
 
 /// Evicts least-recently-used cache entries until the directory's
-/// `.json` and `.bin` entries total at most `max_bytes`. Recency is file
+/// `.json` entries total at most `max_bytes`. Recency is file
 /// mtime (refreshed on hits); ties break on file name so eviction order
 /// is deterministic.
 /// Eviction removes whole files only — surviving entries are never
@@ -1028,11 +881,7 @@ fn enforce_cache_cap(store: &dyn CacheStore, dir: &Path, max_bytes: u64) {
     };
     let mut files: Vec<FileMeta> = listed
         .into_iter()
-        .filter(|meta| {
-            meta.path
-                .extension()
-                .is_some_and(|e| e == "json" || e == "bin")
-        })
+        .filter(|meta| meta.path.extension().is_some_and(|e| e == "json"))
         .collect();
     let mut total: u64 = files.iter().map(|meta| meta.len).sum();
     if total <= max_bytes {
@@ -1119,7 +968,7 @@ impl Fnv {
     }
 }
 
-fn cache_file_name(id: &str, key: u64, format: CacheFormat) -> String {
+fn cache_file_name(id: &str, key: u64) -> String {
     let safe: String = id
         .chars()
         .map(|c| {
@@ -1130,47 +979,37 @@ fn cache_file_name(id: &str, key: u64, format: CacheFormat) -> String {
             }
         })
         .collect();
-    format!("{safe}-{key:016x}.{}", format.extension())
+    format!("{safe}-{key:016x}.json")
 }
 
-fn encode_cache_entry(key: u64, profile: &WorkloadProfile, format: CacheFormat) -> Vec<u8> {
+/// Encodes one cache entry: a single-line canonical-JSON envelope of
+/// the format version, the CRC-64 of the profile body's canonical
+/// bytes, the fingerprint it is keyed under, and the profile itself.
+/// [`verify_cache_entry`] is its inverse; `contracts/fixtures/` pins
+/// its bytes.
+pub fn encode_cache_entry(key: u64, profile: &WorkloadProfile) -> Vec<u8> {
     let body = codec::profile_to_value(profile);
-    match format {
-        CacheFormat::Json => {
-            let crc = crc64(body.encode().as_bytes());
-            let mut text = json::Value::object(vec![
-                ("format", json::Value::UInt(CACHE_FORMAT_VERSION)),
-                ("crc64", json::Value::Str(format!("{crc:016x}"))),
-                ("fingerprint", json::Value::Str(format!("{key:016x}"))),
-                ("profile", body),
-            ])
-            .encode();
-            text.push('\n');
-            text.into_bytes()
-        }
-        // The BDBC container carries its own version and CRC-64 trailer,
-        // so the binary entry is just the fingerprinted payload.
-        CacheFormat::Binary => bdb_codec::encode_record(
-            bdb_codec::RecordKind::CacheEntry,
-            &bdb_codec::encode_cache_payload(key, &body),
-        ),
-    }
+    let crc = crc64(body.encode().as_bytes());
+    let mut text = json::Value::object(vec![
+        ("format", json::Value::UInt(CACHE_FORMAT_VERSION)),
+        ("crc64", json::Value::Str(format!("{crc:016x}"))),
+        ("fingerprint", json::Value::Str(format!("{key:016x}"))),
+        ("profile", body),
+    ])
+    .encode();
+    text.push('\n');
+    text.into_bytes()
 }
 
 /// Verifies and decodes one cache entry against the key it was looked up
 /// under. This is the single decode path for every reader (the engine's
 /// own cache reads and [`read_cache_dir`]), so no two readers can
-/// disagree on what counts as a valid entry. The entry's format is
-/// sniffed from its bytes (binary entries open with the `BDBC` magic),
-/// so readers work regardless of the writer's [`CacheFormat`]. Any
-/// failure — bad UTF-8, bad JSON, non-canonical bytes, wrong format
-/// version, checksum or fingerprint mismatch, undecodable profile — is
-/// grounds for quarantine: entries are written canonically, so a valid
-/// entry can only fail here if its bytes changed underneath us.
+/// disagree on what counts as a valid entry. Any failure — bad UTF-8,
+/// bad JSON, non-canonical bytes, wrong format version, checksum or
+/// fingerprint mismatch, undecodable profile — is grounds for
+/// quarantine: entries are written canonically, so a valid entry can
+/// only fail here if its bytes changed underneath us.
 pub fn verify_cache_entry(bytes: &[u8], expected_key: u64) -> Result<WorkloadProfile, String> {
-    if bdb_codec::is_binary(bytes) {
-        return verify_binary_cache_entry(bytes, expected_key);
-    }
     let text = std::str::from_utf8(bytes).map_err(|_| "entry is not UTF-8".to_owned())?;
     let body = text.trim_end();
     let value = json::parse(body).map_err(|_| "entry is not valid JSON".to_owned())?;
@@ -1207,28 +1046,6 @@ pub fn verify_cache_entry(bytes: &[u8], expected_key: u64) -> Result<WorkloadPro
     codec::profile_from_value(profile_value).map_err(|e| e.to_string())
 }
 
-/// The binary arm of [`verify_cache_entry`]: container (magic, version,
-/// kind, exact length, CRC-64 trailer), fingerprint, byte-stability
-/// under re-encode, then profile decode — the same failure classes the
-/// JSON arm checks, in the same order of cheapness.
-fn verify_binary_cache_entry(bytes: &[u8], expected_key: u64) -> Result<WorkloadProfile, String> {
-    let payload = bdb_codec::decode_record_of(bdb_codec::RecordKind::CacheEntry, bytes)
-        .map_err(|e| e.to_string())?;
-    let (fingerprint, profile_value) =
-        bdb_codec::decode_cache_payload(payload).map_err(|e| e.to_string())?;
-    if fingerprint != expected_key {
-        return Err(format!("fingerprint mismatch (want {expected_key:016x})"));
-    }
-    let reencoded = bdb_codec::encode_record(
-        bdb_codec::RecordKind::CacheEntry,
-        &bdb_codec::encode_cache_payload(fingerprint, &profile_value),
-    );
-    if reencoded != bytes {
-        return Err("entry bytes are not canonical".to_owned());
-    }
-    codec::profile_from_value(&profile_value).map_err(|e| e.to_string())
-}
-
 /// Loads every valid cache entry under `dir` (diagnostics / inspection).
 /// Each entry is verified by [`verify_cache_entry`] against the
 /// fingerprint in its own file name — the same decode-and-verify path
@@ -1242,8 +1059,7 @@ pub fn read_cache_dir(dir: &Path) -> Vec<WorkloadProfile> {
         .into_iter()
         .filter_map(|meta| {
             let path = meta.path;
-            let ext = path.extension()?;
-            if ext != "json" && ext != "bin" {
+            if path.extension()? != "json" {
                 return None;
             }
             // `cache_file_name` ends the stem with `-{key:016x}`.
@@ -1377,74 +1193,11 @@ mod tests {
     }
 
     #[test]
-    fn binary_cache_round_trips_and_interops_with_json_readers() {
-        let dir = scratch_dir("bincache");
-        let workloads = reps(1);
-        let machine = MachineConfig::xeon_e5645();
-        let node = NodeConfig::default();
-        let binary = Engine::new(
-            EngineConfig::default()
-                .threads(1)
-                .cache_dir(&dir)
-                .without_memory_cache()
-                .cache_format(CacheFormat::Binary),
-        );
-        let cold = binary.profile(&workloads[0], Scale::tiny(), &machine, &node);
-        let path = binary
-            .cache_file(&workloads[0], Scale::tiny(), &machine, &node)
-            .unwrap();
-        assert_eq!(path.extension().unwrap(), "bin");
-        let bytes = std::fs::read(&path).expect("binary entry written");
-        assert!(bdb_codec::is_binary(&bytes));
-
-        // A fresh binary engine hits the entry.
-        let warm = Engine::new(
-            EngineConfig::default()
-                .threads(1)
-                .cache_dir(&dir)
-                .without_memory_cache()
-                .cache_format(CacheFormat::Binary),
-        );
-        let served = warm.profile(&workloads[0], Scale::tiny(), &machine, &node);
-        assert_eq!(warm.counters().disk_hits, 1);
-        assert_eq!(profile_bits(&cold), profile_bits(&served));
-
-        // A JSON-configured engine falls back to the .bin entry — the
-        // knob only affects writers, never what readers accept.
-        let json_reader = Engine::new(
-            EngineConfig::default()
-                .threads(1)
-                .cache_dir(&dir)
-                .without_memory_cache(),
-        );
-        let via_json = json_reader.profile(&workloads[0], Scale::tiny(), &machine, &node);
-        assert_eq!(json_reader.counters().disk_hits, 1);
-        assert_eq!(json_reader.counters().computed, 0);
-        assert_eq!(profile_bits(&cold), profile_bits(&via_json));
-
-        // The diagnostics loader decodes the binary entry too, and the
-        // binary entry is a fraction of the JSON entry's size.
-        assert_eq!(read_cache_dir(&dir).len(), 1);
-        let json_len = encode_cache_entry(
-            profile_fingerprint(&workloads[0].spec.id, Scale::tiny(), &machine, &node),
-            &cold,
-            CacheFormat::Json,
-        )
-        .len();
-        // Profiles are float-heavy (45 f64 metrics at 9 B each in
-        // binary), so the entry-level win is modest; the ≥10x win lives
-        // in the columnar trace chunks. Still: strictly, usefully smaller.
-        assert!(
-            bytes.len() * 4 < json_len * 3,
-            "binary entry ({} B) should be at least 25% under the JSON entry ({json_len} B)",
-            bytes.len()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_binary_entry_is_quarantined_and_recomputed() {
-        let dir = scratch_dir("bincorrupt");
+    fn legacy_bin_entry_is_ignored_and_recomputed() {
+        // Older builds could write BDBC `.bin` entries. They are neither
+        // read, quarantined nor counted: the JSON entry is computed and
+        // written beside them.
+        let dir = scratch_dir("legacybin");
         let workloads = reps(1);
         let machine = MachineConfig::xeon_e5645();
         let node = NodeConfig::default();
@@ -1452,26 +1205,20 @@ mod tests {
             EngineConfig::default()
                 .threads(1)
                 .cache_dir(&dir)
-                .without_memory_cache()
-                .cache_format(CacheFormat::Binary),
+                .without_memory_cache(),
         );
-        let p = engine.profile(&workloads[0], Scale::tiny(), &machine, &node);
         let path = engine
             .cache_file(&workloads[0], Scale::tiny(), &machine, &node)
             .unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
-        let q = engine.profile(&workloads[0], Scale::tiny(), &machine, &node);
-        assert_eq!(engine.counters().computed, 2, "corrupt entry must miss");
-        assert_eq!(engine.counters().corrupt_quarantined, 1);
-        assert_eq!(profile_bits(&p), profile_bits(&q));
-        // Damaged bytes preserved in quarantine/, fresh entry rewritten.
-        let quarantined = dir.join(QUARANTINE_DIR).join(path.file_name().unwrap());
-        assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
-        let key = profile_fingerprint(&workloads[0].spec.id, Scale::tiny(), &machine, &node);
-        assert!(verify_cache_entry(&std::fs::read(&path).unwrap(), key).is_ok());
+        let legacy = path.with_extension("bin");
+        std::fs::write(&legacy, b"BDBC\x01\x00\x02\x00legacy").unwrap();
+        engine.profile(&workloads[0], Scale::tiny(), &machine, &node);
+        let counters = engine.counters();
+        assert_eq!((counters.computed, counters.disk_hits), (1, 0));
+        assert_eq!(counters.corrupt_quarantined, 0);
+        assert!(path.exists(), "the JSON entry is written");
+        assert!(legacy.exists(), "the legacy file is left alone");
+        assert_eq!(read_cache_dir(&dir).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1791,26 +1538,15 @@ mod tests {
     }
 
     #[test]
-    fn sweep_modes_are_byte_identical_at_any_thread_count() {
+    fn sweep_matches_per_point_reference_at_any_thread_count() {
         let caps = [16u64, 64, 256];
         let reference =
             bdb_sim::sweep_per_point(&SweepFamily::atom(), "probe", &caps, sweep_probe_workload);
         for threads in [1, 3] {
-            for mode in [SweepMode::Fused, SweepMode::PerPoint] {
-                let engine = Engine::new(EngineConfig::default().threads(threads).sweep_mode(mode));
-                let result = engine.sweep("probe", &caps, sweep_probe_workload);
-                assert_eq!(result, reference, "mode {mode:?} at {threads} threads");
-            }
+            let engine = Engine::new(EngineConfig::default().threads(threads));
+            let result = engine.sweep("probe", &caps, sweep_probe_workload);
+            assert_eq!(result, reference, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn sweep_mode_env_knob_selects_per_point() {
-        // Env-var parsing only; never mutate the process env in tests.
-        let fused = EngineConfig::default();
-        assert_eq!(fused.sweep_mode, SweepMode::Fused);
-        let per_point = EngineConfig::default().sweep_mode(SweepMode::PerPoint);
-        assert_eq!(per_point.sweep_mode, SweepMode::PerPoint);
     }
 
     #[test]
@@ -1841,19 +1577,13 @@ mod tests {
         // explicit point widths force the parallel replay on the same
         // trace, covering both sides of the threshold.
         for point_threads in [1usize, 2, 4] {
-            for mode in [SweepMode::Fused, SweepMode::PerPoint] {
-                let engine = Engine::new(
-                    EngineConfig::default()
-                        .threads(2)
-                        .point_threads(point_threads)
-                        .sweep_mode(mode),
-                );
-                let result = engine.sweep("probe", &caps, sweep_probe_workload);
-                assert_eq!(
-                    result, reference,
-                    "{mode:?} at {point_threads} point threads"
-                );
-            }
+            let engine = Engine::new(
+                EngineConfig::default()
+                    .threads(2)
+                    .point_threads(point_threads),
+            );
+            let result = engine.sweep("probe", &caps, sweep_probe_workload);
+            assert_eq!(result, reference, "{point_threads} point threads");
             let auto = Engine::new(EngineConfig::default().threads(point_threads));
             assert_eq!(auto.sweep("probe", &caps, sweep_probe_workload), reference);
         }

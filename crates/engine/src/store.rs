@@ -192,7 +192,7 @@ pub struct ChaosPlan {
     pub rename_error_period: Option<u64>,
     /// Read failures on existing files.
     pub read_error_period: Option<u64>,
-    /// Read-time single-bit corruption of `.json` / `.bin` payloads.
+    /// Read-time single-bit corruption of `.json` payloads.
     pub read_corruption_period: Option<u64>,
 }
 
@@ -240,7 +240,7 @@ pub struct ChaosCounters {
     pub rename_errors: u64,
     /// Reads of existing files failed.
     pub read_errors: u64,
-    /// `.json` / `.bin` reads returned payloads with one flipped bit.
+    /// `.json` reads returned payloads with one flipped bit.
     pub read_corruptions: u64,
 }
 
@@ -257,8 +257,8 @@ impl ChaosCounters {
 /// seeded [`ChaosPlan`]. Only the data path is fault-eligible (`read`,
 /// `write`, `append`, `rename`); `list`/`remove`/`touch`/`create_dir_all`
 /// pass through untouched so fault accounting stays exact. Bit
-/// corruption targets `.json` and `.bin` payloads (the checksummed
-/// artifact classes), flips exactly one bit, and never touches the
+/// corruption targets `.json` payloads (the checksummed cache
+/// entries), flips exactly one bit, and never touches the
 /// final byte (the JSON entry terminator, which decoding tolerates) —
 /// so every injected corruption is guaranteed to be detectable.
 pub struct ChaosFs {
@@ -358,7 +358,7 @@ impl CacheStore for ChaosFs {
             self.read_errors.fetch_add(1, Ordering::Relaxed);
             return Err(Self::fail("read", path, "read error"));
         }
-        let checksummed = path.extension().is_some_and(|e| e == "json" || e == "bin");
+        let checksummed = path.extension().is_some_and(|e| e == "json");
         if checksummed && bytes.len() >= 2 && self.fire(self.plan.read_corruption_period) {
             // Flip one bit anywhere except the final byte: decoding
             // tolerates a missing terminator, so a flip there could be
@@ -503,14 +503,12 @@ mod tests {
             );
         }
         assert_eq!(chaos.counters().read_corruptions, 32);
-        // Binary cache entries are corruption-eligible too.
-        let bin = dir.join("c.bin");
-        RealFs.write(&bin, &clean).unwrap();
-        assert_ne!(chaos.read(&bin).unwrap().unwrap(), clean);
         // Reads of other extensions are never corrupted.
-        let wal = dir.join("c.wal");
-        RealFs.write(&wal, &clean).unwrap();
-        assert_eq!(chaos.read(&wal).unwrap().unwrap(), clean);
+        for other in ["c.wal", "c.bin"] {
+            let path = dir.join(other);
+            RealFs.write(&path, &clean).unwrap();
+            assert_eq!(chaos.read(&path).unwrap().unwrap(), clean);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

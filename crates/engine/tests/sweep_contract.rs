@@ -1,11 +1,11 @@
 //! The fused-sweep contract: trace-once/replay-many output is
 //! **byte-identical** to the per-point serial sweep — for every workload
-//! in the 77-entry catalog, in both engine modes, at any thread count.
+//! in the 77-entry catalog, through the engine, at any thread count.
 //!
 //! This is the guard the ISSUE demands: the fused path may only ship
 //! while `assemble_sweep` produces the same bits as the reference path.
 
-use bdb_engine::{Engine, EngineConfig, SweepMode};
+use bdb_engine::{Engine, EngineConfig};
 use bdb_sim::{sweep_per_point, sweep_replay, SweepFamily, SweepResult, PAPER_SWEEP_KIB};
 use bdb_trace::TraceBuffer;
 use bdb_workloads::{catalog, CatalogSet, Scale};
@@ -136,7 +136,7 @@ fn sweep_all_is_byte_identical_to_serial_loop() {
 }
 
 #[test]
-fn engine_modes_agree_with_reference_across_thread_counts() {
+fn engine_sweep_agrees_with_reference_across_thread_counts() {
     let scale = Scale::tiny();
     let caps = [16u64, 256];
     let defs = catalog::representatives();
@@ -145,17 +145,14 @@ fn engine_modes_agree_with_reference_across_thread_counts() {
         let _ = def.run(sink, scale);
     });
     for threads in [1usize, 4] {
-        for mode in [SweepMode::Fused, SweepMode::PerPoint] {
-            let engine = Engine::new(
-                EngineConfig::default()
-                    .threads(threads)
-                    .without_memory_cache()
-                    .sweep_mode(mode),
-            );
-            let result = engine.sweep(&def.spec.id, &caps, |sink| {
-                let _ = def.run(sink, scale);
-            });
-            assert_bit_identical(&result, &reference, &def.spec.id);
-        }
+        let engine = Engine::new(
+            EngineConfig::default()
+                .threads(threads)
+                .without_memory_cache(),
+        );
+        let result = engine.sweep(&def.spec.id, &caps, |sink| {
+            let _ = def.run(sink, scale);
+        });
+        assert_bit_identical(&result, &reference, &def.spec.id);
     }
 }

@@ -11,15 +11,15 @@
 //! * `cache-format` — every `results/cache/*.json` entry parses, matches
 //!   the v3 cache schema (format version, CRC-64 content checksum,
 //!   fingerprint-in-filename, 45-metric vector), and survives canonical
-//!   re-encoding byte for byte; every `results/cache/*.bin` entry is a
-//!   valid BDBC cache record whose canonical re-encoding is
-//!   byte-identical.
+//!   re-encoding byte for byte.
 //! * `bench-format` — every `BENCH_*.json` record at the repo root is a
 //!   canonical single-line JSON object with a `bench` tag.
-//! * `binary-stability` — the golden fixtures under `contracts/fixtures/`
-//!   decode, re-encode byte-identically, and agree with their JSON
-//!   interchange sidecars (the `binary → JSON → binary` contract), so
-//!   accidental format drift fails the lint gate.
+//! * `binary-stability` — the golden BDBC fixtures under
+//!   `contracts/fixtures/` decode, re-encode byte-identically, and agree
+//!   with their JSON interchange sidecars (the `binary → JSON → binary`
+//!   contract), so accidental format drift fails the lint gate. A `.json`
+//!   fixture with no `.bin` beside it is a golden cache-entry envelope
+//!   and gets the `cache-format` checks.
 //!
 //! The code contracts these artifacts mirror are enforced by the root
 //! test-suite (`tests/contracts_sync.rs`), which regenerates the files
@@ -27,7 +27,7 @@
 
 use crate::json::{self, Value};
 use crate::{Diagnostic, PAPER_CLUSTERS, PAPER_METRICS, PAPER_WORKLOADS};
-use bdb_codec::{columnar, crc64, RecordKind};
+use bdb_codec::{columnar, crc64};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -280,64 +280,16 @@ fn check_cache_dir(root: &Path, diags: &mut Vec<Diagnostic>) {
     let mut files: Vec<_> = entries
         .flatten()
         .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json" || e == "bin"))
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
         .collect();
     files.sort();
     for file in files {
-        if file.extension().is_some_and(|e| e == "bin") {
-            let Ok(bytes) = std::fs::read(&file) else {
-                diags.push(Diagnostic::new(&file, 0, RULE, "unreadable cache entry"));
-                continue;
-            };
-            check_cache_entry_binary(&file, &bytes, diags);
-            continue;
-        }
         let Ok(text) = std::fs::read_to_string(&file) else {
             diags.push(Diagnostic::new(&file, 0, RULE, "unreadable cache entry"));
             continue;
         };
         check_cache_entry(&file, &text, diags);
     }
-}
-
-/// Validates one binary (BDBC) cache entry: container integrity, a
-/// fingerprint that matches the filename, canonical byte-stability, and
-/// the same profile schema the JSON pass enforces.
-fn check_cache_entry_binary(file: &Path, bytes: &[u8], diags: &mut Vec<Diagnostic>) {
-    const RULE: &str = "cache-format";
-    let mut emit = |message: String| diags.push(Diagnostic::new(file, 0, RULE, message));
-    let payload = match bdb_codec::decode_record_of(RecordKind::CacheEntry, bytes) {
-        Ok(p) => p,
-        Err(e) => {
-            emit(format!("binary cache entry does not decode: {e}"));
-            return;
-        }
-    };
-    let (fingerprint, profile) = match bdb_codec::decode_cache_payload(payload) {
-        Ok(pair) => pair,
-        Err(e) => {
-            emit(format!("binary cache payload does not decode: {e}"));
-            return;
-        }
-    };
-    let reencoded = bdb_codec::encode_record(
-        RecordKind::CacheEntry,
-        &bdb_codec::encode_cache_payload(fingerprint, &profile),
-    );
-    if reencoded != bytes {
-        emit("binary cache entry is not byte-stable: canonical re-encoding differs".into());
-    }
-    let stem = file
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let hex = format!("{fingerprint:016x}");
-    if !stem.ends_with(&format!("-{hex}")) {
-        emit(format!(
-            "filename fingerprint does not match the embedded fingerprint `{hex}`"
-        ));
-    }
-    check_profile_shape(&profile, &hex, &stem, &mut emit);
 }
 
 fn check_cache_entry(file: &Path, text: &str, diags: &mut Vec<Diagnostic>) {
@@ -400,7 +352,7 @@ fn check_cache_entry(file: &Path, text: &str, diags: &mut Vec<Diagnostic>) {
     check_profile_shape(profile, &fingerprint, &stem, &mut emit);
 }
 
-/// Profile-schema checks shared by the JSON and binary cache passes.
+/// Profile-schema checks of one cache entry.
 fn check_profile_shape(
     profile: &Value,
     fingerprint: &str,
@@ -449,99 +401,72 @@ fn check_profile_shape(
     }
 }
 
-/// The `binary-stability` pass: every golden fixture under
+/// The `binary-stability` pass: every golden BDBC fixture under
 /// `contracts/fixtures/` must decode, re-encode to the identical bytes,
 /// and agree with its JSON interchange sidecar — the `binary → JSON →
 /// binary` contract, pinned in CI so format drift cannot land silently.
+/// A `.json` fixture without a `.bin` beside it is a golden cache-entry
+/// envelope and must pass [`check_cache_entry`].
 fn check_fixtures(root: &Path, diags: &mut Vec<Diagnostic>) {
     const RULE: &str = "binary-stability";
     let dir = root.join("contracts/fixtures");
     let Ok(entries) = std::fs::read_dir(&dir) else {
         return; // fixtures are optional until the format ships entries
     };
-    let mut files: Vec<_> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "bin"))
-        .collect();
+    let mut files: Vec<_> = entries.flatten().map(|e| e.path()).collect();
     files.sort();
     for file in files {
-        let Ok(bytes) = std::fs::read(&file) else {
-            diags.push(Diagnostic::new(&file, 0, RULE, "unreadable fixture"));
-            continue;
-        };
-        check_one_fixture(&file, &bytes, diags);
+        if file.extension().is_some_and(|e| e == "bin") {
+            let Ok(bytes) = std::fs::read(&file) else {
+                diags.push(Diagnostic::new(&file, 0, RULE, "unreadable fixture"));
+                continue;
+            };
+            check_one_fixture(&file, &bytes, diags);
+        } else if file.extension().is_some_and(|e| e == "json")
+            && !file.with_extension("bin").exists()
+        {
+            let Ok(text) = std::fs::read_to_string(&file) else {
+                diags.push(Diagnostic::new(&file, 0, RULE, "unreadable fixture"));
+                continue;
+            };
+            check_cache_entry(&file, &text, diags);
+        }
     }
 }
 
 fn check_one_fixture(file: &Path, bytes: &[u8], diags: &mut Vec<Diagnostic>) {
     const RULE: &str = "binary-stability";
     let mut emit = |message: String| diags.push(Diagnostic::new(file, 0, RULE, message));
-    let (kind, payload) = match bdb_codec::decode_record(bytes) {
+    // `TraceChunk` is the only BDBC record kind.
+    let (_, payload) = match bdb_codec::decode_record(bytes) {
         Ok(pair) => pair,
         Err(e) => {
             emit(format!("fixture does not decode: {e}"));
             return;
         }
     };
-    // Decode to the interchange Value (or columns), re-encode the binary
-    // record from it, and render the JSON sidecar form.
-    let (reencoded, interchange) = match kind {
-        RecordKind::TraceChunk => {
-            let columns = match columnar::TraceChunkView::parse(payload) {
-                Ok(view) => view.to_columns(),
-                Err(e) => {
-                    emit(format!("trace-chunk payload does not parse: {e}"));
-                    return;
-                }
-            };
-            let rebuilt = match columnar::encode_trace_chunk(
-                &columns.pc,
-                &columns.arg,
-                &columns.kind,
-                &columns.aux,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    emit(format!("trace-chunk re-encode failed: {e}"));
-                    return;
-                }
-            };
-            (rebuilt, columnar::trace_chunk_to_json(&columns))
-        }
-        RecordKind::CacheEntry => {
-            let (fingerprint, profile) = match bdb_codec::decode_cache_payload(payload) {
-                Ok(pair) => pair,
-                Err(e) => {
-                    emit(format!("cache payload does not decode: {e}"));
-                    return;
-                }
-            };
-            let rebuilt = bdb_codec::encode_record(
-                kind,
-                &bdb_codec::encode_cache_payload(fingerprint, &profile),
-            );
-            let interchange = Value::object(vec![
-                ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
-                ("profile", profile),
-            ]);
-            (rebuilt, interchange)
-        }
-        RecordKind::JournalRecord
-        | RecordKind::WireMessage
-        | RecordKind::ServeRequest
-        | RecordKind::ServeDelta => {
-            let value = match bdb_codec::bval::decode_value(payload) {
-                Ok(v) => v,
-                Err(e) => {
-                    emit(format!("bval payload does not decode: {e}"));
-                    return;
-                }
-            };
-            let rebuilt = bdb_codec::encode_record(kind, &bdb_codec::bval::encode_value(&value));
-            (rebuilt, value)
+    // Decode to columns, re-encode the binary record from them, and
+    // render the JSON sidecar form.
+    let columns = match columnar::TraceChunkView::parse(payload) {
+        Ok(view) => view.to_columns(),
+        Err(e) => {
+            emit(format!("trace-chunk payload does not parse: {e}"));
+            return;
         }
     };
+    let reencoded = match columnar::encode_trace_chunk(
+        &columns.pc,
+        &columns.arg,
+        &columns.kind,
+        &columns.aux,
+    ) {
+        Ok(r) => r,
+        Err(e) => {
+            emit(format!("trace-chunk re-encode failed: {e}"));
+            return;
+        }
+    };
+    let interchange = columnar::trace_chunk_to_json(&columns);
     if reencoded != bytes {
         emit("fixture is not byte-stable: canonical re-encoding differs".into());
     }
@@ -740,48 +665,47 @@ mod tests {
     }
 
     #[test]
-    fn binary_cache_entry_is_validated_and_bit_flips_detected() {
-        let profile = Value::object(vec![
-            ("spec", Value::object(vec![("id", Value::Str("X".into()))])),
-            ("report", Value::object(vec![])),
-            ("system", Value::object(vec![])),
-            ("metrics", Value::Array(vec![Value::UInt(1); PAPER_METRICS])),
-        ]);
-        let fp = 0x1234_5678_90ab_cdefu64;
-        let bytes = bdb_codec::encode_record(
-            RecordKind::CacheEntry,
-            &bdb_codec::encode_cache_payload(fp, &profile),
-        );
-        let mut diags = Vec::new();
-        check_cache_entry_binary(Path::new("X-1234567890abcdef.bin"), &bytes, &mut diags);
-        assert!(diags.is_empty(), "{diags:?}");
-        let mut damaged = bytes.clone();
-        damaged[bytes.len() / 2] ^= 1;
-        let mut diags = Vec::new();
-        check_cache_entry_binary(Path::new("X-1234567890abcdef.bin"), &damaged, &mut diags);
-        assert!(!diags.is_empty(), "bit flip must surface a diagnostic");
-    }
-
-    #[test]
     fn fixture_sidecar_mismatch_is_flagged() {
         let root = scratch("fixtures");
         std::fs::create_dir_all(root.join("contracts/fixtures")).unwrap();
-        let value = json::parse("{\"kind\":\"task\",\"n\":3}").unwrap();
-        let record = bdb_codec::encode_record(
-            RecordKind::JournalRecord,
-            &bdb_codec::bval::encode_value(&value),
-        );
-        let sidecar = root.join("contracts/fixtures/journal_record.json");
-        std::fs::write(root.join("contracts/fixtures/journal_record.bin"), &record).unwrap();
+        let columns = columnar::TraceChunkColumns {
+            pc: vec![0x40_1000, 0x40_1004],
+            arg: vec![0, 0x7ffe_0000],
+            kind: vec![0, 1],
+            aux: vec![0, 8],
+        };
+        let record =
+            columnar::encode_trace_chunk(&columns.pc, &columns.arg, &columns.kind, &columns.aux)
+                .unwrap();
+        let sidecar = root.join("contracts/fixtures/trace_chunk.json");
+        std::fs::write(root.join("contracts/fixtures/trace_chunk.bin"), &record).unwrap();
+        let value = columnar::trace_chunk_to_json(&columns);
         std::fs::write(&sidecar, format!("{}\n", value.encode())).unwrap();
         let mut diags = Vec::new();
         check_fixtures(&root, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
-        std::fs::write(&sidecar, "{\"kind\":\"other\"}\n").unwrap();
+        std::fs::write(&sidecar, "{\"n\":0}\n").unwrap();
         let mut diags = Vec::new();
         check_fixtures(&root, &mut diags);
         assert!(
             diags.iter().any(|d| d.rule == "binary-stability"),
+            "{diags:?}"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn fixture_cache_envelope_gets_the_cache_entry_checks() {
+        let root = scratch("envelope");
+        std::fs::create_dir_all(root.join("contracts/fixtures")).unwrap();
+        let envelope = root.join("contracts/fixtures/X-1234567890abcdef.json");
+        std::fs::write(&envelope, "{\"format\":2}\n").unwrap();
+        let mut diags = Vec::new();
+        check_fixtures(&root, &mut diags);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == "cache-format" && d.message.contains("integer 3")),
             "{diags:?}"
         );
         let _ = std::fs::remove_dir_all(&root);

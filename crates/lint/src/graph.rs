@@ -548,8 +548,10 @@ pub fn chain_to(
 mod tests {
     use super::*;
 
-    fn mini_workspace() -> (tempdir::Dir, Workspace) {
-        let dir = tempdir::Dir::new("bdb-lint-graph");
+    /// `tag` keeps each test's scratch directory apart: tests run in
+    /// parallel in one process, so a shared directory races.
+    fn mini_workspace(tag: &str) -> (tempdir::Dir, Workspace) {
+        let dir = tempdir::Dir::new(&format!("bdb-lint-graph-{tag}"));
         dir.write(
             "Cargo.toml",
             "[workspace]\nmembers = [\"crates/*\"]\n[workspace.dependencies]\n",
@@ -573,7 +575,7 @@ mod tests {
 
     #[test]
     fn cross_crate_calls_resolve_and_bfs_reaches() {
-        let (_dir, ws) = mini_workspace();
+        let (_dir, ws) = mini_workspace("bfs");
         let graph = Graph::build(&ws);
         let roots = graph.find(&ws, "alpha", &["entry"]);
         assert_eq!(roots.len(), 1);
@@ -588,7 +590,7 @@ mod tests {
 
     #[test]
     fn graph_build_is_deterministic() {
-        let (_dir, ws) = mini_workspace();
+        let (_dir, ws) = mini_workspace("determinism");
         let a = Graph::build(&ws);
         let b = Graph::build(&ws);
         assert_eq!(a.nodes, b.nodes);

@@ -32,9 +32,9 @@
 //! * **Artifact passes** statically validate the checked-in contracts:
 //!   the catalog spec (77 workloads), metric schema (45 metrics), the
 //!   reduction config (17 clusters, weights summing to 77), the JSON
-//!   schema / byte-stability of `results/cache` entries (both `.json`
-//!   and binary `.bin` forms) and `BENCH_*.json`, and the golden binary
-//!   fixtures under `contracts/fixtures/` (`binary-stability`).
+//!   schema / byte-stability of `results/cache` entries and
+//!   `BENCH_*.json`, and the golden fixtures under `contracts/fixtures/`
+//!   (`binary-stability`).
 //!
 //! Diagnostics carry `file:line` and a rule id and are suppressible with
 //! `// bdb-lint: allow(<rule>): <justification>` on the offending line or

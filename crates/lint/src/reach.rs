@@ -74,10 +74,6 @@ const NONDET: ReachRule = ReachRule {
         },
         RootSpec {
             krate: "cluster",
-            suffix: &["profile_all_distributed_journaled"],
-        },
-        RootSpec {
-            krate: "cluster",
             suffix: &["Coordinator", "run_elastic"],
         },
         RootSpec {

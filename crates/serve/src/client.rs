@@ -9,13 +9,13 @@
 //! silently wrong answer.
 
 use crate::proto::{
-    decode_reply, encode_request, serve_format_from_env, ServeReply, ServeRequest, ServeStats,
-    SnapshotEntry, SERVE_PROTOCOL_VERSION,
+    decode_reply, encode_request, ServeReply, ServeRequest, ServeStats, SnapshotEntry,
+    SERVE_PROTOCOL_VERSION,
 };
 use crate::spec::{EntryKey, Mutation};
 use crate::state::{Delta, DeltaBatch};
 use crate::ServeError;
-use bdb_cluster::{FrameTransport, TcpTransport, WireFormat};
+use bdb_cluster::{FrameTransport, TcpTransport};
 use bdb_wcrt::WorkloadProfile;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -46,27 +46,21 @@ pub struct SessionInfo {
 /// A blocking client for one serve session.
 pub struct ServeClient {
     transport: Arc<dyn FrameTransport>,
-    format: WireFormat,
     next_id: u64,
     pending: VecDeque<DeltaBatch>,
 }
 
 impl ServeClient {
-    /// Connects over TCP, with the payload format from
-    /// [`serve_format_from_env`].
+    /// Connects over TCP.
     pub fn connect(addr: &str, timeout: Duration) -> Result<ServeClient, ServeError> {
         let transport = TcpTransport::connect(addr, timeout)?;
-        Ok(ServeClient::over(
-            Arc::new(transport),
-            serve_format_from_env(),
-        ))
+        Ok(ServeClient::over(Arc::new(transport)))
     }
 
     /// Wraps an existing transport (loopback in tests).
-    pub fn over(transport: Arc<dyn FrameTransport>, format: WireFormat) -> ServeClient {
+    pub fn over(transport: Arc<dyn FrameTransport>) -> ServeClient {
         ServeClient {
             transport,
-            format,
             next_id: 0,
             pending: VecDeque::new(),
         }
@@ -78,10 +72,7 @@ impl ServeClient {
             client: client.to_owned(),
             protocol: SERVE_PROTOCOL_VERSION,
         };
-        if let Err(e) = self
-            .transport
-            .send_payload(&encode_request(self.format, &request))
-        {
+        if let Err(e) = self.transport.send_payload(&encode_request(&request)) {
             // A refused session hangs up before reading anything, but
             // its parting `Busy`/`Error` frame may already be queued;
             // surface the refusal instead of the bare transport failure.
@@ -217,7 +208,7 @@ impl ServeClient {
     /// Closes the session cleanly.
     pub fn bye(self) -> Result<(), ServeError> {
         self.transport
-            .send_payload(&encode_request(self.format, &ServeRequest::Bye))
+            .send_payload(&encode_request(&ServeRequest::Bye))
             .map_err(ServeError::from)
     }
 
@@ -244,8 +235,7 @@ impl ServeClient {
     /// Sends one request and waits for its id-matched reply, queueing
     /// any delta pushes that arrive in between.
     fn roundtrip(&mut self, id: u64, request: &ServeRequest) -> Result<ServeReply, ServeError> {
-        self.transport
-            .send_payload(&encode_request(self.format, request))?;
+        self.transport.send_payload(&encode_request(request))?;
         loop {
             match self.recv_reply()? {
                 ServeReply::Delta(batch) => self.pending.push_back(batch),

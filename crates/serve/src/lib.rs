@@ -25,8 +25,7 @@
 //!   [`bdb_engine::Engine`]: applies mutations, recomputes the affected
 //!   slice on the rayon pool, and emits ordered [`DeltaBatch`]es.
 //! * [`proto`] — the request/reply protocol, encoded as canonical JSON
-//!   or checksummed BDBC records (`ServeRequest`/`ServeDelta` kinds) on
-//!   the same length-prefixed frames as the cluster wire.
+//!   on the same length-prefixed frames as the cluster wire.
 //! * [`server`] / [`client`] — the blocking TCP daemon (thread per
 //!   session, subscription fan-out, warm restart from the engine's
 //!   crash-safe cache and journal) and the matching client.
@@ -70,8 +69,8 @@ pub use client::{apply_delta_batch, MutateOutcome, ServeClient, SessionInfo};
 pub use index::{DepIndex, IndexDiff};
 pub use knob::{apply_machine_knob, machine_knobs};
 pub use proto::{
-    decode_reply, decode_request, encode_reply, encode_request, serve_format_from_env, ServeReply,
-    ServeRequest, ServeStats, SnapshotEntry, SERVE_PROTOCOL_VERSION,
+    decode_reply, decode_request, encode_reply, encode_request, ServeReply, ServeRequest,
+    ServeStats, SnapshotEntry, SERVE_PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, RETRY_QUANTUM_TICKS};
 pub use spec::{EntryKey, Mutation, ServeSpec};

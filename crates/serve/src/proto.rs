@@ -2,23 +2,13 @@
 //!
 //! Payloads ride the same 4-byte length-prefixed frames as the cluster
 //! wire ([`bdb_cluster::wire`]), but carry their own message set,
-//! encoded either as canonical JSON or as checksummed BDBC records —
-//! [`bdb_codec::RecordKind::ServeRequest`] for requests and
-//! [`bdb_codec::RecordKind::ServeDelta`] for replies (delta streams are
-//! the reply family's namesake). Receivers sniff per payload
-//! ([`bdb_codec::is_binary`]), so JSON and binary clients interoperate
-//! on one server.
-//!
-//! Every encoded object lists its keys **alphabetically**. That is what
-//! makes the two formats interchangeable at the byte level: a BDBC
-//! payload round-trips through `bval` (which sorts map keys) and
-//! re-encodes to exactly the JSON a JSON-format peer produced.
+//! encoded as canonical JSON. Every encoded object lists its keys in one
+//! fixed (alphabetical) order, so a decoded payload re-encodes to exactly
+//! the bytes its sender produced.
 
 use crate::spec::{mutation_from_value, mutation_to_value, EntryKey, Mutation};
 use crate::state::{Delta, DeltaBatch};
 use crate::ServeError;
-use bdb_cluster::WireFormat;
-use bdb_codec::{bval, RecordKind};
 use bdb_engine::codec::{profile_from_value, profile_to_value};
 use bdb_engine::json::{self, Value};
 use bdb_wcrt::WorkloadProfile;
@@ -616,55 +606,30 @@ pub fn reply_from_value(v: &Value) -> Result<ServeReply, ServeError> {
     }
 }
 
-/// Encodes a request payload in `format` (the frame layer adds the
-/// length prefix).
-pub fn encode_request(format: WireFormat, req: &ServeRequest) -> Vec<u8> {
-    encode_payload(format, RecordKind::ServeRequest, &request_to_value(req))
+/// Encodes a request payload (the frame layer adds the length prefix).
+pub fn encode_request(req: &ServeRequest) -> Vec<u8> {
+    request_to_value(req).encode().into_bytes()
 }
 
-/// Decodes a request payload, sniffing JSON vs BDBC.
+/// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<ServeRequest, ServeError> {
-    request_from_value(&payload_value(payload, RecordKind::ServeRequest)?)
+    request_from_value(&payload_value(payload)?)
 }
 
-/// Encodes a reply payload in `format`.
-pub fn encode_reply(format: WireFormat, reply: &ServeReply) -> Vec<u8> {
-    encode_payload(format, RecordKind::ServeDelta, &reply_to_value(reply))
+/// Encodes a reply payload.
+pub fn encode_reply(reply: &ServeReply) -> Vec<u8> {
+    reply_to_value(reply).encode().into_bytes()
 }
 
-/// Decodes a reply payload, sniffing JSON vs BDBC.
+/// Decodes a reply payload.
 pub fn decode_reply(payload: &[u8]) -> Result<ServeReply, ServeError> {
-    reply_from_value(&payload_value(payload, RecordKind::ServeDelta)?)
+    reply_from_value(&payload_value(payload)?)
 }
 
-fn encode_payload(format: WireFormat, kind: RecordKind, value: &Value) -> Vec<u8> {
-    match format {
-        WireFormat::Json => value.encode().into_bytes(),
-        WireFormat::Binary => bdb_codec::encode_record(kind, &bval::encode_value(value)),
-    }
-}
-
-fn payload_value(payload: &[u8], kind: RecordKind) -> Result<Value, ServeError> {
-    if bdb_codec::is_binary(payload) {
-        let inner = bdb_codec::decode_record_of(kind, payload)
-            .map_err(|e| ServeError::Decode(e.to_string()))?;
-        bval::decode_value(inner).map_err(|e| ServeError::Decode(e.to_string()))
-    } else {
-        let text =
-            std::str::from_utf8(payload).map_err(|_| ServeError::Decode("not UTF-8".to_owned()))?;
-        json::parse(text).map_err(|e| ServeError::Decode(e.to_string()))
-    }
-}
-
-/// The payload format selected by `BDB_SERVE_FORMAT` (`binary` / `bin`
-/// / `bdbc` / `json`), falling back to `BDB_WIRE_FORMAT` when unset so
-/// a mixed serve + cluster deployment needs one knob.
-pub fn serve_format_from_env() -> WireFormat {
-    match std::env::var("BDB_SERVE_FORMAT") {
-        Ok(v) if matches!(v.as_str(), "binary" | "bin" | "bdbc") => WireFormat::Binary,
-        Ok(v) if v.as_str() == "json" => WireFormat::Json,
-        _ => WireFormat::from_env(),
-    }
+fn payload_value(payload: &[u8]) -> Result<Value, ServeError> {
+    let text =
+        std::str::from_utf8(payload).map_err(|_| ServeError::Decode("not UTF-8".to_owned()))?;
+    json::parse(text).map_err(|e| ServeError::Decode(e.to_string()))
 }
 
 #[cfg(test)]
@@ -796,57 +761,33 @@ mod tests {
     }
 
     #[test]
-    fn requests_round_trip_in_both_formats() {
+    fn requests_round_trip() {
         for req in sample_requests() {
-            for format in [WireFormat::Json, WireFormat::Binary] {
-                let payload = encode_request(format, &req);
-                let back = decode_request(&payload).expect("round trip");
-                assert_eq!(back, req, "format {format:?}");
-            }
+            let back = decode_request(&encode_request(&req)).expect("round trip");
+            assert_eq!(back, req);
         }
     }
 
     #[test]
-    fn replies_round_trip_in_both_formats() {
+    fn replies_round_trip_to_identical_bytes() {
+        // Keys are encoded in a fixed order, so decoding and re-encoding
+        // yields the sender's canonical bytes.
         for reply in sample_replies() {
-            let canonical = reply_to_value(&reply).encode();
-            for format in [WireFormat::Json, WireFormat::Binary] {
-                let payload = encode_reply(format, &reply);
-                let back = decode_reply(&payload).expect("round trip");
-                assert_eq!(
-                    reply_to_value(&back).encode(),
-                    canonical,
-                    "format {format:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn json_and_binary_reencode_to_identical_bytes() {
-        // The cross-format interop contract: whatever format a payload
-        // arrives in, decoding and re-encoding as JSON yields the same
-        // canonical bytes, because every object's keys are already
-        // alphabetical.
-        for reply in sample_replies() {
-            let json_payload = encode_reply(WireFormat::Json, &reply);
-            let binary_payload = encode_reply(WireFormat::Binary, &reply);
-            let via_json = reply_to_value(&decode_reply(&json_payload).expect("json")).encode();
-            let via_binary =
-                reply_to_value(&decode_reply(&binary_payload).expect("binary")).encode();
-            assert_eq!(via_json, via_binary);
-            assert_eq!(via_json.as_bytes(), json_payload.as_slice());
+            let payload = encode_reply(&reply);
+            let back = decode_reply(&payload).expect("round trip");
+            assert_eq!(encode_reply(&back), payload);
         }
     }
 
     #[test]
     fn wrong_record_kind_is_rejected() {
-        let req = ServeRequest::Snapshot { id: 1 };
-        let payload = encode_request(WireFormat::Binary, &req);
-        // A request record handed to the reply decoder must fail
-        // loudly, not decode into garbage.
-        let err = decode_reply(&payload).expect_err("kind mismatch");
-        assert!(matches!(err, ServeError::Decode(_)), "{err:?}");
+        // A request handed to the reply decoder must fail loudly, not
+        // decode into garbage — including `snapshot`, whose type tag
+        // both message sets share.
+        for req in sample_requests() {
+            let err = decode_reply(&encode_request(&req)).expect_err("request is not a reply");
+            assert!(matches!(err, ServeError::Decode(_)), "{req:?}: {err:?}");
+        }
     }
 
     #[test]
@@ -874,9 +815,9 @@ mod tests {
     }
 
     #[test]
-    fn golden_fixture_shapes_still_decode() {
-        // The frozen fixtures in contracts/fixtures/serve_*.json use
-        // exactly these shapes; this pins the decoder to them.
+    fn frozen_request_shape_still_decodes() {
+        // A knob-mutation request in a shape frozen since protocol v1;
+        // this pins the decoder to it.
         let req = json::parse(concat!(
             "{\"id\":7,\"mutation\":{\"config\":\"xeon\",\"knob\":\"l1d.size_bytes\",",
             "\"op\":\"set_knob\",\"value\":65536},\"type\":\"mutate\"}"

@@ -29,7 +29,7 @@ use crate::proto::{
 };
 use crate::state::{DeltaBatch, ServeState};
 use crate::{Delta, ServeError};
-use bdb_cluster::{FrameTransport, TcpTransport, TransportError, WireFormat};
+use bdb_cluster::{FrameTransport, TcpTransport, TransportError};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,26 +53,21 @@ pub struct ServerConfig {
     /// full when a batch arrives is evicted rather than buffered
     /// without bound.
     pub sub_queue: u64,
-    /// Payload format for replies and delta pushes.
-    pub format: WireFormat,
 }
 
 impl ServerConfig {
     /// A named config with library defaults (64 clients, 64-deep
-    /// subscriber queues, JSON frames).
+    /// subscriber queues).
     pub fn named(name: &str) -> Self {
         ServerConfig {
             name: name.to_owned(),
             max_clients: 64,
             sub_queue: 64,
-            format: WireFormat::Json,
         }
     }
 
-    /// Reads `BDB_SERVE_MAX_CLIENTS` (default 64),
-    /// `BDB_SERVE_SUB_QUEUE` (default 64, floored at 1), and
-    /// `BDB_SERVE_FORMAT` (via
-    /// [`crate::proto::serve_format_from_env`]).
+    /// Reads `BDB_SERVE_MAX_CLIENTS` (default 64) and
+    /// `BDB_SERVE_SUB_QUEUE` (default 64, floored at 1).
     pub fn from_env() -> Self {
         let max_clients = std::env::var("BDB_SERVE_MAX_CLIENTS")
             .ok()
@@ -87,7 +82,6 @@ impl ServerConfig {
             name: "bdb-served".to_owned(),
             max_clients,
             sub_queue,
-            format: crate::proto::serve_format_from_env(),
         }
     }
 }
@@ -456,7 +450,7 @@ impl Server {
         transport: &Arc<dyn FrameTransport>,
         reply: &ServeReply,
     ) -> Result<(), ServeError> {
-        let payload = encode_reply(self.shared.config.format, reply);
+        let payload = encode_reply(reply);
         transport.send_payload(&payload).map_err(ServeError::from)
     }
 
@@ -476,7 +470,7 @@ impl Server {
             return;
         }
         self.shared.delta_batches.fetch_add(1, Ordering::SeqCst);
-        let payload = encode_reply(self.shared.config.format, &ServeReply::Delta(batch.clone()));
+        let payload = encode_reply(&ServeReply::Delta(batch.clone()));
         let mut subscribers = lock(&self.shared.subscribers);
         let mut gone = Vec::new();
         for (&session_id, subscriber) in subscribers.iter() {
@@ -489,18 +483,15 @@ impl Server {
             if queue.frames.len() as u64 >= self.shared.config.sub_queue {
                 // Slow consumer: shed it rather than grow its queue,
                 // with a best-effort farewell frame.
-                let notice = encode_reply(
-                    self.shared.config.format,
-                    &ServeReply::Error {
-                        id: 0,
-                        message: format!(
-                            "subscription evicted: {} undelivered delta batches exceeded \
+                let notice = encode_reply(&ServeReply::Error {
+                    id: 0,
+                    message: format!(
+                        "subscription evicted: {} undelivered delta batches exceeded \
                              the BDB_SERVE_SUB_QUEUE bound of {}",
-                            queue.frames.len(),
-                            self.shared.config.sub_queue
-                        ),
-                    },
-                );
+                        queue.frames.len(),
+                        self.shared.config.sub_queue
+                    ),
+                });
                 queue.frames.push_back(Frame {
                     payload: notice,
                     deltas: 0,

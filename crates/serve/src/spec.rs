@@ -269,8 +269,8 @@ pub fn scale_from_bits(bits: &str) -> Result<Scale, ServeError> {
     Ok(Scale::custom(factor))
 }
 
-/// Encodes a mutation as a canonical JSON value (alphabetical keys, so
-/// JSON and BDBC transports re-encode to identical bytes).
+/// Encodes a mutation as a canonical JSON value (alphabetical keys, like
+/// every serve protocol object).
 pub fn mutation_to_value(m: &Mutation) -> Value {
     match m {
         Mutation::SetKnob {

@@ -6,7 +6,7 @@
 //! subscriber patching its snapshot with streamed deltas converges to
 //! the server's own catalog bytes.
 
-use bdb_cluster::{loopback_pair, WireFormat};
+use bdb_cluster::loopback_pair;
 use bdb_engine::codec::profile_to_value;
 use bdb_engine::json::Value;
 use bdb_engine::{Engine, EngineConfig};
@@ -37,7 +37,7 @@ fn session(server: &Server) -> ServeClient {
     let (client_end, server_end) = loopback_pair("test-session");
     let server = server.clone();
     std::thread::spawn(move || server.serve_session(Arc::new(server_end)));
-    ServeClient::over(Arc::new(client_end), WireFormat::Json)
+    ServeClient::over(Arc::new(client_end))
 }
 
 fn snapshot_lines(entries: &[SnapshotEntry]) -> Vec<String> {
@@ -357,7 +357,6 @@ fn slow_subscriber_is_evicted_not_buffered_without_bound() {
     // wedges on the first delta frame.
     let (tx, rx) = std::sync::mpsc::channel();
     tx.send(bdb_serve::encode_request(
-        WireFormat::Json,
         &bdb_serve::ServeRequest::Subscribe { id: 1 },
     ))
     .expect("script send");
@@ -476,7 +475,6 @@ fn evicted_subscriber_gets_a_farewell_error_frame() {
 
     let (tx, rx) = std::sync::mpsc::channel();
     tx.send(bdb_serve::encode_request(
-        WireFormat::Json,
         &bdb_serve::ServeRequest::Subscribe { id: 1 },
     ))
     .expect("script send");

@@ -10,8 +10,7 @@
 //! streams (see [`crate::fused`]) — byte-identical to the per-point
 //! reference path ([`sweep_per_point`]), which re-runs the workload on a
 //! full [`crate::MachineConfig::atom_sweep`] machine per capacity and survives
-//! as the contract oracle and the engine's `BDB_SWEEP_MODE=per-point`
-//! escape hatch.
+//! as the contract oracle.
 
 use crate::cache::CacheStats;
 use crate::fused::{fused_points, SweepFamily, SweepStreams};
@@ -141,7 +140,7 @@ pub fn sweep_replay(
 
 /// The per-point reference sweep: re-runs `workload` once per capacity on
 /// a full machine. Kept as the oracle the fused path is contract-tested
-/// against, and as the engine's `BDB_SWEEP_MODE=per-point` escape hatch.
+/// against.
 ///
 /// The workload closure must regenerate identical work on every call (all
 /// generators in this workspace are seeded, so this holds by construction).
@@ -168,9 +167,7 @@ pub fn sweep_per_point(
 
 /// Runs `workload` once on an Atom-like machine with `kib` of L1 and
 /// returns `(instruction, data, unified)` miss ratios — one point of a
-/// sweep curve, computed the reference way (full machine, no replay). The
-/// execution engine fans these out across a thread pool in per-point mode
-/// (each point is an independent machine).
+/// sweep curve, computed the reference way (full machine, no replay).
 pub fn sweep_point(kib: u64, workload: impl FnOnce(&mut dyn TraceSink)) -> (f64, f64, f64) {
     sweep_point_on(&SweepFamily::atom(), kib, workload)
 }
@@ -179,8 +176,8 @@ pub fn sweep_point(kib: u64, workload: impl FnOnce(&mut dyn TraceSink)) -> (f64,
 /// machine at `kib`, fed by replaying `buffer`. Bit-identical to
 /// [`sweep_point`] on the workload that recorded the buffer — trace
 /// replay reproduces the exact event sequence — but the generator does
-/// not re-run. The engine's per-point mode records once into a pooled
-/// buffer and replays it at every capacity.
+/// not re-run, so a reference sweep can capture one trace and replay it
+/// at every capacity.
 pub fn sweep_point_replay(kib: u64, buffer: &TraceBuffer) -> (f64, f64, f64) {
     let mut machine = Machine::new(SweepFamily::atom().machine_config(kib));
     buffer.replay_into(&mut machine);

@@ -7,8 +7,8 @@
 //! (pc/arg/kind/aux), in fixed-capacity chunks, and replays it to any
 //! number of sinks through [`TraceSink::exec_batch`]: one virtual call per
 //! chunk instead of one per op, with the per-op decode loop fully
-//! monomorphic. Chunks are recycled by [`TraceBuffer::clear`] and
-//! [`TraceBufferPool`], so parallel sweep workers reuse allocations.
+//! monomorphic. Chunks are recycled by [`TraceBuffer::clear`], so a
+//! re-recorded buffer reuses its allocations.
 //!
 //! The in-memory encoding is an internal detail; round-tripping is
 //! exhaustively tested (`MicroOp` has ~11 shapes) and replay equivalence
@@ -22,11 +22,10 @@
 use crate::op::{BranchKind, IntPurpose, MicroOp};
 use crate::sink::{TraceEvent, TraceSink};
 use bdb_codec::{columnar, CodecError};
-use std::sync::{Mutex, PoisonError};
 
 /// Events per chunk: 64 Ki ops ≈ 1.1 MiB of columns — large enough that
 /// per-chunk dispatch cost vanishes, small enough to stay cache-friendly
-/// and make pooling worthwhile.
+/// and make chunk recycling worthwhile.
 const DEFAULT_CHUNK_EVENTS: usize = 1 << 16;
 
 // Column encoding: one kind byte per op, with `arg` carrying the address
@@ -311,13 +310,9 @@ impl TraceBuffer {
         let mut len = 0u64;
         let mut offset = 0usize;
         while offset < bytes.len() {
-            let (kind, payload, consumed) = bdb_codec::decode_record_prefix(&bytes[offset..])?;
-            if kind != bdb_codec::RecordKind::TraceChunk {
-                return Err(CodecError::WrongKind {
-                    expected: bdb_codec::RecordKind::TraceChunk,
-                    actual: kind,
-                });
-            }
+            // `TraceChunk` is the only BDBC kind, so a decoded record is
+            // always a chunk.
+            let (_, payload, consumed) = bdb_codec::decode_record_prefix(&bytes[offset..])?;
             let columns = columnar::TraceChunkView::parse(payload)?.to_columns();
             len += columns.len() as u64;
             chunks.push(Chunk {
@@ -352,38 +347,6 @@ impl TraceSink for TraceBuffer {
         for event in batch {
             self.push(event.pc, event.op);
         }
-    }
-}
-
-/// A shared pool of [`TraceBuffer`]s so concurrent sweep workers recycle
-/// chunk allocations instead of growing a fresh buffer per recording.
-#[derive(Debug, Default)]
-pub struct TraceBufferPool {
-    buffers: Mutex<Vec<TraceBuffer>>,
-}
-
-impl TraceBufferPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a cleared buffer from the pool, or a fresh one if empty.
-    pub fn checkout(&self) -> TraceBuffer {
-        self.buffers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns `buffer` to the pool (cleared, allocations retained).
-    pub fn checkin(&self, mut buffer: TraceBuffer) {
-        buffer.clear();
-        self.buffers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(buffer);
     }
 }
 
@@ -575,16 +538,6 @@ mod tests {
             bad[bit / 8] ^= 1 << (bit % 8);
             assert!(TraceBuffer::load(&bad).is_err(), "bit {bit} undetected");
         }
-    }
-
-    #[test]
-    fn pool_recycles_buffers() {
-        let pool = TraceBufferPool::new();
-        let mut buffer = pool.checkout();
-        buffer.exec(0, MicroOp::Fp);
-        pool.checkin(buffer);
-        let recycled = pool.checkout();
-        assert!(recycled.is_empty(), "checked-in buffers come back cleared");
     }
 
     #[test]
