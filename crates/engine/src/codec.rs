@@ -246,7 +246,9 @@ fn dec_branch(v: &Value) -> Result<BranchStats, DecodeError> {
     })
 }
 
-fn enc_report(r: &PerfReport) -> Value {
+/// A [`PerfReport`] as canonical JSON — the `report` field of a
+/// profile's cache and wire encoding.
+pub fn report_to_value(r: &PerfReport) -> Value {
     Value::object(vec![
         ("platform", Value::Str(r.platform.clone())),
         ("mix", enc_mix(&r.mix)),
@@ -347,7 +349,7 @@ fn dec_behavior(v: &Value) -> Result<DataBehavior, DecodeError> {
 pub fn profile_to_value(p: &WorkloadProfile) -> Value {
     Value::object(vec![
         ("spec", enc_spec(&p.spec)),
-        ("report", enc_report(&p.report)),
+        ("report", report_to_value(&p.report)),
         ("system", enc_system(&p.system)),
         ("system_class", enc_system_class(p.system_class)),
         ("data_behavior", enc_behavior(&p.data_behavior)),
