@@ -75,6 +75,15 @@ impl CacheStats {
 
 /// One level of set-associative cache.
 ///
+/// Each set is one line of tag words. Under [`Replacement::Lru`] the line
+/// is kept most-recent-first: a hit rotates its way to the front, a miss
+/// shifts the new tag in at the front and drops the last slot. Invalid
+/// slots therefore always form a suffix, so the dropped slot is an
+/// invalid way while one exists and the least-recently-used line
+/// otherwise. [`Replacement::Random`] uses the same array but never
+/// reorders it: the victim is a pseudo-random physical way, valid or not.
+/// A line's dirty bit lives in bit 63 of its tag word.
+///
 /// # Examples
 ///
 /// ```
@@ -93,17 +102,20 @@ pub struct Cache {
     /// mask instead of a modulo), `u64::MAX` otherwise.
     set_mask: u64,
     line_shift: u32,
-    /// `tags[set * assoc + way]`; `u64::MAX` marks an invalid way.
+    /// `tags[set * assoc + way]`: the line number, plus [`DIRTY`] once a
+    /// store has touched it; [`INVALID`] marks an empty way.
     tags: Vec<u64>,
-    /// LRU timestamp per way.
-    stamp: Vec<u64>,
-    dirty: Vec<bool>,
-    tick: u64,
     rng: u64,
     stats: CacheStats,
 }
 
-const INVALID: u64 = u64::MAX;
+/// Dirty flag, packed into the top bit of a tag word. Line numbers are
+/// addresses shifted right by the line size's log2, far below 2^63.
+const DIRTY: u64 = 1 << 63;
+
+/// Tag word of an empty way. It is not a line number and carries no
+/// dirty bit, so it neither matches a probe nor counts as a writeback.
+const INVALID: u64 = !DIRTY;
 
 impl Cache {
     /// Builds a cache.
@@ -127,7 +139,6 @@ impl Cache {
         );
         let sets = config.sets();
         assert!(sets > 0, "cache must have at least one set");
-        let ways = sets * config.assoc;
         Self {
             config,
             sets,
@@ -137,10 +148,7 @@ impl Cache {
                 u64::MAX
             },
             line_shift: config.line_bytes.trailing_zeros(),
-            tags: vec![INVALID; ways],
-            stamp: vec![0; ways],
-            dirty: vec![false; ways],
-            tick: 0,
+            tags: vec![INVALID; sets * config.assoc],
             rng: 0xA076_1D64_78BD_642F,
             stats: CacheStats::default(),
         }
@@ -164,83 +172,82 @@ impl Cache {
         }
     }
 
-    /// Accesses `addr`; returns `true` on hit. `is_store` marks the line
-    /// dirty so its eventual eviction counts as a writeback.
-    pub fn access(&mut self, addr: u64, is_store: bool) -> bool {
-        self.tick += 1;
-        self.stats.accesses += 1;
+    /// Looks `addr` up and updates the set; returns `true` on hit. A miss
+    /// fills the line and counts a writeback if it evicts a dirty line.
+    /// Demand counters are left to the caller.
+    #[inline]
+    fn probe(&mut self, addr: u64, is_store: bool) -> bool {
         let line = addr >> self.line_shift;
-        let set = self.set_index(line);
-        let tag = line;
-        let base = set * self.config.assoc;
-        let ways = &mut self.tags[base..base + self.config.assoc];
-        if let Some(w) = ways.iter().position(|&t| t == tag) {
-            self.stamp[base + w] = self.tick;
-            if is_store {
-                self.dirty[base + w] = true;
-            }
+        let dirty = if is_store { DIRTY } else { 0 };
+        let assoc = self.config.assoc;
+        let base = self.set_index(line) * assoc;
+        let set = &mut self.tags[base..base + assoc];
+        if set[0] & !DIRTY == line {
+            set[0] |= dirty;
             return true;
         }
-        self.stats.misses += 1;
-        let victim = match self.config.replacement {
-            Replacement::Lru => {
-                let mut best = 0;
-                let mut best_stamp = u64::MAX;
-                for w in 0..self.config.assoc {
-                    if self.tags[base + w] == INVALID {
-                        best = w;
-                        break;
-                    }
-                    if self.stamp[base + w] < best_stamp {
-                        best_stamp = self.stamp[base + w];
-                        best = w;
-                    }
+        let way = set.iter().position(|&t| t & !DIRTY == line);
+        let evicted = match (self.config.replacement, way) {
+            (Replacement::Lru, Some(w)) => {
+                let word = set[w] | dirty;
+                for i in (0..w).rev() {
+                    set[i + 1] = set[i];
                 }
-                best
+                set[0] = word;
+                return true;
             }
-            Replacement::Random => {
+            (Replacement::Random, Some(w)) => {
+                set[w] |= dirty;
+                return true;
+            }
+            (Replacement::Lru, None) => {
+                let evicted = set[assoc - 1];
+                for i in (0..assoc - 1).rev() {
+                    set[i + 1] = set[i];
+                }
+                set[0] = line | dirty;
+                evicted
+            }
+            (Replacement::Random, None) => {
                 let mut x = self.rng;
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 self.rng = x;
-                (x as usize) % self.config.assoc
+                let slot = &mut set[(x as usize) % assoc];
+                std::mem::replace(slot, line | dirty)
             }
         };
-        let slot = base + victim;
-        if self.tags[slot] != INVALID && self.dirty[slot] {
+        if evicted & DIRTY != 0 {
             self.stats.writebacks += 1;
         }
-        self.tags[slot] = tag;
-        self.stamp[slot] = self.tick;
-        self.dirty[slot] = is_store;
         false
+    }
+
+    /// Accesses `addr`; returns `true` on hit. `is_store` marks the line
+    /// dirty so its eventual eviction counts as a writeback.
+    pub fn access(&mut self, addr: u64, is_store: bool) -> bool {
+        self.stats.accesses += 1;
+        let hit = self.probe(addr, is_store);
+        if !hit {
+            self.stats.misses += 1;
+        }
+        hit
     }
 
     /// Equivalent to `count` back-to-back [`Cache::access`] calls with
     /// the same `addr`/`is_store`, returning the first call's hit flag.
     ///
-    /// After the first access the line is resident and most recent, so
-    /// with nothing else touching the cache in between, the remaining
-    /// `count - 1` accesses are hits whose only effects are advancing the
-    /// clock and refreshing the line's own stamp — which this applies in
-    /// bulk. Trace-replay code uses it to collapse same-line runs; every
-    /// counter (and, for [`Replacement::Random`], the RNG, which hits
-    /// never touch) ends up exactly as if the calls had been made one by
-    /// one.
+    /// After the first access the line is resident, already dirty if
+    /// `is_store`, and (under LRU) at the front of its set, so the
+    /// remaining `count - 1` accesses are hits that change nothing but
+    /// the access counter — which this bumps in bulk. Trace-replay code
+    /// uses it to collapse same-line runs; every counter (and, for
+    /// [`Replacement::Random`], the RNG, which hits never touch) ends up
+    /// exactly as if the calls had been made one by one.
     pub fn access_run(&mut self, addr: u64, is_store: bool, count: u64) -> bool {
         let hit = self.access(addr, is_store);
-        if count > 1 {
-            let line = addr >> self.line_shift;
-            let set = self.set_index(line);
-            let base = set * self.config.assoc;
-            let ways = &self.tags[base..base + self.config.assoc];
-            if let Some(w) = ways.iter().position(|&t| t == line) {
-                self.tick += count - 1;
-                self.stats.accesses += count - 1;
-                self.stamp[base + w] = self.tick;
-            }
-        }
+        self.stats.accesses += count.saturating_sub(1);
         hit
     }
 
@@ -248,11 +255,7 @@ impl Cache {
     /// counters — the prefetcher's fill path. Dirty victims still count as
     /// writebacks.
     pub fn install(&mut self, addr: u64) {
-        let before = self.stats;
-        self.access(addr, false);
-        let wb = self.stats.writebacks;
-        self.stats = before;
-        self.stats.writebacks = wb;
+        self.probe(addr, false);
     }
 
     /// Accumulated statistics.

@@ -21,9 +21,9 @@
 //!    models with those streams, once per capacity. Set-associative LRU
 //!    with power-of-two sets — every paper sweep point — goes through
 //!    the compact `ReplayLru` order lists (one 64-byte host cache
-//!    line per 8-way set, provably equal to stamp-LRU); everything else
-//!    executes the same [`Cache`] code over the same event sequence as
-//!    the full machine. Both are exact: same access and miss counts,
+//!    line per 8-way set, the same most-recent-first order [`Cache`]
+//!    keeps); everything else executes the same [`Cache`] code over the
+//!    same event sequence as the full machine. Both are exact: same access and miss counts,
 //!    bit for bit.
 //! 3. **Single pass** ([`fused_points`] when
 //!    [`SweepFamily::single_pass_sound`]): for fully-associative LRU, the
@@ -450,19 +450,17 @@ fn lru_fast_path(family: &SweepFamily, kib: u64) -> Option<(usize, usize)> {
 }
 
 /// Replay-only true-LRU set-associative model: per set, `assoc` line
-/// numbers stored most-recent-first in one contiguous slab — no
-/// timestamps, no dirty bits, so an 8-way set is a single 64-byte cache
-/// line and each replayed event touches one line of memory instead of a
-/// tag line plus a stamp line. That halved memory traffic is what makes
-/// the large-capacity sweep points (whose tag arrays dwarf the L2) cheap.
+/// numbers stored most-recent-first in one contiguous slab, so an 8-way
+/// set is a single 64-byte host cache line — the large-capacity sweep
+/// points, whose tag arrays dwarf the L2, stay cheap.
 ///
-/// An order list is exactly stamp-LRU: a hit rotates the line to the
-/// front, a miss shifts the new line in at the front and drops the last
-/// slot — the least-recently-used valid line, or an invalid slot (invalid
-/// slots always form a suffix, and the stamp model likewise fills an
-/// invalid way before evicting). Accesses and misses therefore come out
-/// identical to [`Cache`]; writebacks are not modelled, which is fine for
-/// miss-ratio sweeps — `point_ratios` never reads them.
+/// It keeps the same order list as [`Cache`] under LRU (a hit rotates
+/// the line to the front, a miss shifts the new line in at the front and
+/// drops the last slot) but carries no dirty bits and no policy switch,
+/// which is what lets 8-way sets take the branch-free `probe8`. Accesses
+/// and misses come out identical to [`Cache`]; writebacks are not
+/// modelled, which is fine for miss-ratio sweeps — `point_ratios` never
+/// reads them.
 #[derive(Debug)]
 struct ReplayLru {
     /// `tags[set * assoc ..][..assoc]`, most-recent-first; `u64::MAX`
@@ -595,7 +593,8 @@ impl ReplayLru {
 /// a miss's next-line instruction install lands in a different set than
 /// the missing line (consecutive line numbers differ in their low set
 /// bits), so running it after the run's bulk repeats cannot perturb any
-/// within-set recency order — the same argument the stamp path makes.
+/// within-set recency order — the same argument [`cache_replay_point`]
+/// makes.
 fn lru_replay_point(sets: usize, assoc: usize, streams: &SweepStreams) -> (CacheStats, CacheStats) {
     let mut l1i = ReplayLru::new(sets, assoc);
     l1i.replay_ifetch(&streams.ifetch, &streams.irepeat);
@@ -612,9 +611,10 @@ fn cache_replay_point(
     let mut l1i = Cache::new(family.l1_config(kib));
     // On the instruction side a miss injects a next-line install *between*
     // the first access of a run and its repeats. Under LRU that is
-    // irrelevant (the victim is never the just-accessed MRU line, and
-    // reordering only permutes clock values across different lines, never
-    // the recency order within a set), so the bulk path is exact. Under
+    // irrelevant when the cache has at least two sets: the repeats leave
+    // the run's line at the front of its own set and only bump the access
+    // counter, and the install goes to the next set, so the bulk path is
+    // exact. Under
     // Random replacement the install could evict the run's own line, so
     // runs are replayed access by access, exactly as the machine would.
     let expand_iruns = family.replacement == Replacement::Random;
@@ -1012,9 +1012,9 @@ mod tests {
     }
 
     #[test]
-    fn order_list_replay_matches_stamp_replay() {
-        // The ReplayLru fast path must reproduce the stamp-based Cache
-        // replay's exact access and miss counts (writebacks are the one
+    fn order_list_replay_matches_cache_replay() {
+        // The ReplayLru fast path must reproduce the Cache replay's exact
+        // access and miss counts (writebacks are the one
         // counter it deliberately does not model) at every geometry the
         // sweep can ask for, dense runs included.
         let buffer = TraceBuffer::capture(mixed_workload);
@@ -1200,8 +1200,8 @@ mod tests {
     }
 
     /// Replays one op stream through a [`ReplayLru`] (optionally split
-    /// at the given boundaries) and through two oracles: the stamp-LRU
-    /// [`Cache`] using the same bulk calls, and a second stamp cache
+    /// at the given boundaries) and through two oracles: an LRU
+    /// [`Cache`] using the same bulk calls, and a second [`Cache`]
     /// replaying every run access by access (scalar expansion).
     fn replay_three_ways(
         sets: usize,
@@ -1269,13 +1269,13 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// Batched `ReplayLru::replay_data` (over arbitrary chunk
-            /// boundaries) vs the stamp-LRU [`Cache`] bulk path vs the
+            /// boundaries) vs the LRU [`Cache`] bulk path vs the
             /// access-by-access scalar expansion: all three agree on
             /// accesses and misses at every geometry, including non-8
             /// associativities that route through `probe_scan` and the
             /// 8-way geometry that routes through `probe8`.
             #[test]
-            fn batched_data_replay_matches_stamp_and_scalar(
+            fn batched_data_replay_matches_cache_and_scalar(
                 set_bits in 0u32..6,
                 assoc in 1usize..=12,
                 ops in proptest::collection::vec(data_op(), 1..200),
@@ -1285,7 +1285,7 @@ mod tests {
                 let mut splits = raw_splits;
                 splits.sort_unstable();
                 let [fast, bulk, scalar] = replay_three_ways(sets, assoc, &ops, &splits);
-                prop_assert_eq!(fast, bulk, "order-list vs stamp bulk");
+                prop_assert_eq!(fast, bulk, "order-list vs cache bulk");
                 prop_assert_eq!(fast, scalar, "order-list vs scalar expansion");
             }
 
@@ -1370,10 +1370,9 @@ mod tests {
 
             /// The batched sweep point end to end: random RLE streams
             /// replayed through `lru_replay_point` (order lists, probe8)
-            /// vs `cache_replay_point` (stamp LRU) at a non-pow2-sets
-            /// geometry note — the pow2 check routes non-pow2 sets to
-            /// the stamp path in production, so here we pin the pow2
-            /// geometries the fast path actually owns.
+            /// vs `cache_replay_point` (LRU [`Cache`]). The pow2 check
+            /// routes non-pow2 sets to [`Cache`] in production, so here
+            /// we pin the pow2 geometries the fast path actually owns.
             #[test]
             fn lru_replay_point_matches_cache_replay_point_random_streams(
                 entries in proptest::collection::vec((0u64..96, 1u32..12), 1..120),

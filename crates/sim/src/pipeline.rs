@@ -170,6 +170,12 @@ impl Pipeline {
     /// by the write buffer; loads stall the window once independent work
     /// runs out.
     pub fn data_stall(&mut self, level: ServiceLevel, is_store: bool) {
+        // An L1 hit costs `0.0 * exposure == +0.0`, and adding `+0.0` to
+        // accumulators that start at `+0.0` and only grow is an exact
+        // identity, so skipping it leaves every bit of the totals as is.
+        if level == ServiceLevel::L1 {
+            return;
+        }
         let exposure = match (self.config.kind, is_store) {
             (_, true) => 0.05,
             (PipelineKind::InOrder, false) => 1.0,

@@ -6,6 +6,7 @@
 //! first-level misses, matching how `perf` counts `iTLB-load-misses` /
 //! `dTLB-load-misses`.
 
+use crate::cache::{Cache, CacheConfig};
 use serde::{Deserialize, Serialize};
 
 /// Geometry of a TLB.
@@ -30,7 +31,7 @@ impl TlbConfig {
     }
 }
 
-/// Set-associative LRU TLB.
+/// Set-associative LRU TLB: a [`Cache`] whose lines are pages.
 ///
 /// # Examples
 ///
@@ -44,13 +45,7 @@ impl TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    page_shift: u32,
-    sets: usize,
-    pages: Vec<u64>,
-    stamp: Vec<u64>,
-    tick: u64,
-    accesses: u64,
-    misses: u64,
+    pages: Cache,
 }
 
 impl Tlb {
@@ -76,13 +71,11 @@ impl Tlb {
         );
         Self {
             config,
-            page_shift: config.page_bytes.trailing_zeros(),
-            sets,
-            pages: vec![u64::MAX; config.entries],
-            stamp: vec![0; config.entries],
-            tick: 0,
-            accesses: 0,
-            misses: 0,
+            pages: Cache::new(CacheConfig::lru(
+                config.entries as u64 * config.page_bytes,
+                config.assoc,
+                config.page_bytes,
+            )),
         }
     }
 
@@ -93,47 +86,22 @@ impl Tlb {
 
     /// Translates `addr`; returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
-        self.accesses += 1;
-        let page = addr >> self.page_shift;
-        let set = (page as usize) & (self.sets - 1);
-        let base = set * self.config.assoc;
-        let ways = &self.pages[base..base + self.config.assoc];
-        if let Some(w) = ways.iter().position(|&p| p == page) {
-            self.stamp[base + w] = self.tick;
-            return true;
-        }
-        self.misses += 1;
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.config.assoc {
-            if self.pages[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.stamp[base + w] < oldest {
-                oldest = self.stamp[base + w];
-                victim = w;
-            }
-        }
-        self.pages[base + victim] = page;
-        self.stamp[base + victim] = self.tick;
-        false
+        self.pages.access(addr, false)
     }
 
     /// Page number of `addr` under this TLB's page size.
     pub fn page_of(&self, addr: u64) -> u64 {
-        addr >> self.page_shift
+        addr >> self.config.page_bytes.trailing_zeros()
     }
 
     /// Total translations requested.
     pub fn accesses(&self) -> u64 {
-        self.accesses
+        self.pages.stats().accesses
     }
 
     /// Translations that missed.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.pages.stats().misses
     }
 }
 
