@@ -179,7 +179,9 @@ impl ServeState {
             match self.entries.get(&key) {
                 Some(old) => {
                     self.engine.invalidate(old.fingerprint);
-                    if old.bytes != entry.bytes {
+                    // A knob that cannot reach the profile still moves the
+                    // fingerprint, and subscribers patch both.
+                    if old.bytes != entry.bytes || old.fingerprint != entry.fingerprint {
                         deltas.push(Delta::Updated {
                             key: key.clone(),
                             fingerprint: entry.fingerprint,

@@ -102,6 +102,83 @@ fn mutation_sequence_matches_cold_full_recompute_byte_for_byte() {
 }
 
 #[test]
+fn fingerprint_only_update_reaches_a_patched_snapshot() {
+    // The Atom preset has no L3, so its L3 latency can never reach a
+    // profile: the knob moves every fingerprint and no profile byte.
+    let spec = small_spec()
+        .apply(&Mutation::AddConfig {
+            name: "atom-d510".to_owned(),
+            machine: Box::new(MachineConfig::atom_d510()),
+        })
+        .expect("add atom");
+    let mut state =
+        ServeState::materialize(Arc::new(Engine::in_memory()), spec).expect("materialize");
+    let mut catalog: BTreeMap<String, SnapshotEntry> = state
+        .keys()
+        .into_iter()
+        .map(|key| {
+            let (fingerprint, profile) = state.get(&key).expect("listed key");
+            let entry = SnapshotEntry {
+                fingerprint,
+                key: key.clone(),
+                profile: Box::new(profile.clone()),
+            };
+            (key.render(), entry)
+        })
+        .collect();
+    let before: BTreeMap<String, String> = state
+        .keys()
+        .into_iter()
+        .map(|key| (key.render(), state.get_bytes(&key).unwrap_or("").to_owned()))
+        .collect();
+
+    let batch = state
+        .apply(&Mutation::SetKnob {
+            config: "atom-d510".to_owned(),
+            knob: "pipeline.l3_latency".to_owned(),
+            value: Value::UInt(99),
+        })
+        .expect("knob mutate");
+    assert_eq!(
+        batch.deltas.len(),
+        3,
+        "every atom entry's fingerprint moved"
+    );
+    for key in state.keys().into_iter().filter(|k| k.config == "atom-d510") {
+        assert_eq!(
+            state.get_bytes(&key),
+            Some(before[&key.render()].as_str()),
+            "{} profile bytes must not move",
+            key.render()
+        );
+        assert_ne!(
+            state.get(&key).map(|(fp, _)| fp),
+            Some(catalog[&key.render()].fingerprint),
+            "{} fingerprint must move",
+            key.render()
+        );
+    }
+    apply_delta_batch(&mut catalog, &batch);
+
+    let cold = ServeState::materialize(Arc::new(Engine::in_memory()), state.spec().clone())
+        .expect("cold materialize");
+    let fresh: Vec<SnapshotEntry> = cold
+        .keys()
+        .into_iter()
+        .map(|key| {
+            let (fingerprint, profile) = cold.get(&key).expect("listed key");
+            SnapshotEntry {
+                fingerprint,
+                key,
+                profile: Box::new(profile.clone()),
+            }
+        })
+        .collect();
+    let patched: Vec<SnapshotEntry> = catalog.into_values().collect();
+    assert_eq!(snapshot_lines(&patched), snapshot_lines(&fresh));
+}
+
+#[test]
 fn warm_restart_re_materializes_without_recomputing() {
     let dir = std::env::temp_dir().join(format!("bdb-serve-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
