@@ -109,8 +109,9 @@ pub struct Cache {
     stats: CacheStats,
 }
 
-/// Dirty flag, packed into the top bit of a tag word. Line numbers are
-/// addresses shifted right by the line size's log2, far below 2^63.
+/// Dirty flag, packed into the top bit of a tag word. With lines of at
+/// least 4 bytes a line number is below 2^62, so it never touches this
+/// bit and never equals [`INVALID`].
 const DIRTY: u64 = 1 << 63;
 
 /// Tag word of an empty way. It is not a line number and carries no
@@ -122,12 +123,13 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `line_bytes` is not a power of two, `assoc == 0`, or the
-    /// capacity is not an exact multiple of `line_bytes * assoc`.
+    /// Panics if `line_bytes` is not a power of two of at least 4 bytes,
+    /// `assoc == 0`, or the capacity is not an exact multiple of
+    /// `line_bytes * assoc`.
     pub fn new(config: CacheConfig) -> Self {
         assert!(
-            config.line_bytes.is_power_of_two(),
-            "line size must be a power of two"
+            config.line_bytes.is_power_of_two() && config.line_bytes >= 4,
+            "line size must be a power of two of at least 4 bytes"
         );
         assert!(config.assoc > 0, "associativity must be positive");
         assert!(
@@ -182,6 +184,8 @@ impl Cache {
         let assoc = self.config.assoc;
         let base = self.set_index(line) * assoc;
         let set = &mut self.tags[base..base + assoc];
+        // Most hits land on the most recent line: skip the scan and the
+        // policy dispatch for them.
         if set[0] & !DIRTY == line {
             set[0] |= dirty;
             return true;
@@ -190,6 +194,8 @@ impl Cache {
         let evicted = match (self.config.replacement, way) {
             (Replacement::Lru, Some(w)) => {
                 let word = set[w] | dirty;
+                // Plain loops, not `copy_within`: a call to memmove costs
+                // more than moving the few words of one set.
                 for i in (0..w).rev() {
                     set[i + 1] = set[i];
                 }
@@ -383,5 +389,11 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_line_size_panics() {
         let _ = Cache::new(CacheConfig::lru(512, 2, 48));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 4 bytes")]
+    fn lines_too_small_for_the_dirty_bit_panic() {
+        let _ = Cache::new(CacheConfig::lru(512, 2, 2));
     }
 }
