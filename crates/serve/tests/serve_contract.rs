@@ -101,6 +101,23 @@ fn mutation_sequence_matches_cold_full_recompute_byte_for_byte() {
     );
 }
 
+/// A state's catalog as a client holds it: `key → entry`.
+fn client_catalog(state: &ServeState) -> BTreeMap<String, SnapshotEntry> {
+    state
+        .keys()
+        .into_iter()
+        .map(|key| {
+            let (fingerprint, profile) = state.get(&key).expect("listed key");
+            let entry = SnapshotEntry {
+                fingerprint,
+                key: key.clone(),
+                profile: Box::new(profile.clone()),
+            };
+            (key.render(), entry)
+        })
+        .collect()
+}
+
 #[test]
 fn fingerprint_only_update_reaches_a_patched_snapshot() {
     // The Atom preset has no L3, so its L3 latency can never reach a
@@ -113,24 +130,7 @@ fn fingerprint_only_update_reaches_a_patched_snapshot() {
         .expect("add atom");
     let mut state =
         ServeState::materialize(Arc::new(Engine::in_memory()), spec).expect("materialize");
-    let mut catalog: BTreeMap<String, SnapshotEntry> = state
-        .keys()
-        .into_iter()
-        .map(|key| {
-            let (fingerprint, profile) = state.get(&key).expect("listed key");
-            let entry = SnapshotEntry {
-                fingerprint,
-                key: key.clone(),
-                profile: Box::new(profile.clone()),
-            };
-            (key.render(), entry)
-        })
-        .collect();
-    let before: BTreeMap<String, String> = state
-        .keys()
-        .into_iter()
-        .map(|key| (key.render(), state.get_bytes(&key).unwrap_or("").to_owned()))
-        .collect();
+    let mut catalog = client_catalog(&state);
 
     let batch = state
         .apply(&Mutation::SetKnob {
@@ -139,42 +139,25 @@ fn fingerprint_only_update_reaches_a_patched_snapshot() {
             value: Value::UInt(99),
         })
         .expect("knob mutate");
-    assert_eq!(
-        batch.deltas.len(),
-        3,
-        "every atom entry's fingerprint moved"
-    );
-    for key in state.keys().into_iter().filter(|k| k.config == "atom-d510") {
+    assert_eq!(batch.deltas.len(), 3, "one delta per atom entry");
+    let after = client_catalog(&state);
+    for (key, old) in catalog.iter().filter(|(k, _)| k.starts_with("atom-d510/")) {
         assert_eq!(
-            state.get_bytes(&key),
-            Some(before[&key.render()].as_str()),
-            "{} profile bytes must not move",
-            key.render()
+            profile_to_value(&after[key].profile).encode(),
+            profile_to_value(&old.profile).encode(),
+            "{key} profile bytes must not move"
         );
         assert_ne!(
-            state.get(&key).map(|(fp, _)| fp),
-            Some(catalog[&key.render()].fingerprint),
-            "{} fingerprint must move",
-            key.render()
+            after[key].fingerprint, old.fingerprint,
+            "{key} fingerprint must move"
         );
     }
     apply_delta_batch(&mut catalog, &batch);
 
     let cold = ServeState::materialize(Arc::new(Engine::in_memory()), state.spec().clone())
         .expect("cold materialize");
-    let fresh: Vec<SnapshotEntry> = cold
-        .keys()
-        .into_iter()
-        .map(|key| {
-            let (fingerprint, profile) = cold.get(&key).expect("listed key");
-            SnapshotEntry {
-                fingerprint,
-                key,
-                profile: Box::new(profile.clone()),
-            }
-        })
-        .collect();
     let patched: Vec<SnapshotEntry> = catalog.into_values().collect();
+    let fresh: Vec<SnapshotEntry> = client_catalog(&cold).into_values().collect();
     assert_eq!(snapshot_lines(&patched), snapshot_lines(&fresh));
 }
 
