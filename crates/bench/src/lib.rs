@@ -308,15 +308,23 @@ pub fn group_sweep(
     }
 }
 
-/// The Hadoop workloads used in the paper's §5.4 locality case study.
+/// The Hadoop workloads used in the paper's §5.4 locality case study,
+/// in catalog order ([`group_sweep`] sums their curves in this order).
+/// Built one by one rather than filtered out of the full catalog.
 pub fn hadoop_sweep_defs() -> Vec<WorkloadDef> {
-    bdb_workloads::catalog::full_catalog()
-        .into_iter()
-        .filter(|w| {
-            matches!(w.spec.stack, bdb_stacks::StackKind::Hadoop)
-                && ["H-WordCount", "H-Grep", "H-Sort", "H-NaiveBayes"].contains(&w.spec.id.as_str())
-        })
-        .collect()
+    use bdb_datagen::DataSetId as D;
+    use bdb_workloads::KernelKind as K;
+    [
+        (K::WordCount, D::Wikipedia),
+        (K::Sort, D::Wikipedia),
+        (K::Grep, D::Wikipedia),
+        (K::NaiveBayes, D::AmazonReviews),
+    ]
+    .into_iter()
+    .map(|(kernel, dataset)| {
+        bdb_workloads::catalog::offline_def(bdb_stacks::StackKind::Hadoop, kernel, dataset)
+    })
+    .collect()
 }
 
 /// The PARSEC comparison kernels used by the sweep figures: the paper's
@@ -329,7 +337,8 @@ pub fn parsec_sweep_defs() -> Vec<WorkloadDef> {
     [0usize, 1, 5, 6].iter().map(|&i| all[i].clone()).collect()
 }
 
-/// The six MPI control workloads (Figure 9's third curve).
+/// The four MPI control workloads behind Figure 9's third curve:
+/// WordCount, Grep, Sort and NaiveBayes, in [`bdb_workloads::catalog::mpi_workloads`] order.
 pub fn mpi_sweep_defs() -> Vec<WorkloadDef> {
     bdb_workloads::catalog::mpi_workloads()
         .into_iter()
@@ -387,6 +396,19 @@ mod tests {
         let split = by_category(&profiles);
         let total: usize = split.iter().map(|(_, v)| v.len()).sum();
         assert_eq!(total, profiles.len());
+    }
+
+    #[test]
+    fn hadoop_sweep_defs_are_the_catalog_entries_in_catalog_order() {
+        let ids = |defs: Vec<WorkloadDef>| -> Vec<_> {
+            defs.into_iter()
+                .map(|w| (w.spec.id, w.spec.dataset))
+                .collect()
+        };
+        let from_catalog = catalog::full_catalog().into_iter().filter(|w| {
+            ["H-WordCount", "H-Sort", "H-Grep", "H-NaiveBayes"].contains(&w.spec.id.as_str())
+        });
+        assert_eq!(ids(hadoop_sweep_defs()), ids(from_catalog.collect()));
     }
 
     #[test]

@@ -112,9 +112,26 @@ impl Value {
 
     /// Encodes to compact JSON text.
     pub fn encode(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.size_hint());
         self.write(&mut out);
         out
+    }
+
+    /// A cheap estimate of the encoded length, so [`Value::encode`]
+    /// allocates once for typical records.
+    fn size_hint(&self) -> usize {
+        match self {
+            Value::Null | Value::Bool(_) => 5,
+            Value::UInt(_) | Value::Float(_) => 20,
+            Value::Str(s) => s.len() + 2,
+            Value::Array(items) => 2 + items.iter().map(|v| v.size_hint() + 1).sum::<usize>(),
+            Value::Object(pairs) => {
+                2 + pairs
+                    .iter()
+                    .map(|(k, v)| k.len() + 4 + v.size_hint())
+                    .sum::<usize>()
+            }
+        }
     }
 
     fn write(&self, out: &mut String) {
@@ -169,19 +186,27 @@ fn write_f64(f: f64, out: &mut String) {
 
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // split `s` on char boundaries and are copied whole.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -205,6 +230,7 @@ impl std::error::Error for ParseError {}
 /// Parses JSON text into a [`Value`].
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -218,11 +244,20 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    /// The input; string and number tokens are slices of it, so UTF-8
+    /// is never re-validated.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// The input in `start..end`, or `message` if that range does not
+    /// fall on char boundaries.
+    fn slice(&self, start: usize, end: usize, message: &str) -> Result<&'a str, ParseError> {
+        self.text.get(start..end).ok_or_else(|| self.error(message))
+    }
+
     fn error(&self, message: &str) -> ParseError {
         ParseError {
             at: self.pos,
@@ -327,16 +362,11 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("invalid UTF-8"))?,
-            );
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            out.push_str(self.slice(start, self.pos, "invalid UTF-8")?);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -359,8 +389,7 @@ impl Parser<'_> {
                             if self.pos + 4 > self.bytes.len() {
                                 return Err(self.error("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.error("invalid \\u escape"))?;
+                            let hex = self.slice(self.pos, self.pos + 4, "invalid \\u escape")?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.error("invalid \\u escape"))?;
                             self.pos += 4;
@@ -393,8 +422,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("malformed number"))?;
+        let text = self.slice(start, self.pos, "malformed number")?;
         if !is_float && !text.starts_with('-') {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));

@@ -586,6 +586,19 @@ impl Engine {
         node: &NodeConfig,
     ) -> WorkloadProfile {
         let key = profile_fingerprint(&workload.spec.id, scale, machine, node);
+        self.profile_keyed(workload, key, scale, machine, node)
+    }
+
+    /// [`Engine::profile`] for a caller that already holds the inputs'
+    /// [`profile_fingerprint`] `key`.
+    pub(crate) fn profile_keyed(
+        &self,
+        workload: &WorkloadDef,
+        key: u64,
+        scale: Scale,
+        machine: &MachineConfig,
+        node: &NodeConfig,
+    ) -> WorkloadProfile {
         if let Some(memory) = &self.memory {
             if let Some(hit) = lock(memory).get(&key) {
                 self.memory_hits.fetch_add(1, Ordering::Relaxed);
@@ -982,68 +995,96 @@ fn cache_file_name(id: &str, key: u64) -> String {
     format!("{safe}-{key:016x}.json")
 }
 
+/// The fixed pieces of a cache entry's envelope. An entry is exactly
+/// `{"format":<version>,"crc64":"<crc>","fingerprint":"<key>","profile":`,
+/// the profile's canonical JSON, `}` and a newline, with `<crc>` and
+/// `<key>` as 16 lowercase hex digits: the canonical encoding of that
+/// JSON object, written and checked as bytes.
+const ENVELOPE_FORMAT: &str = "{\"format\":";
+const ENVELOPE_CRC: &str = ",\"crc64\":\"";
+const ENVELOPE_FINGERPRINT: &str = "\",\"fingerprint\":\"";
+const ENVELOPE_PROFILE: &str = "\",\"profile\":";
+
 /// Encodes one cache entry: a single-line canonical-JSON envelope of
 /// the format version, the CRC-64 of the profile body's canonical
 /// bytes, the fingerprint it is keyed under, and the profile itself.
 /// [`verify_cache_entry`] is its inverse; `contracts/fixtures/` pins
 /// its bytes.
 pub fn encode_cache_entry(key: u64, profile: &WorkloadProfile) -> Vec<u8> {
-    let body = codec::profile_to_value(profile);
-    let crc = crc64(body.encode().as_bytes());
-    let mut text = json::Value::object(vec![
-        ("format", json::Value::UInt(CACHE_FORMAT_VERSION)),
-        ("crc64", json::Value::Str(format!("{crc:016x}"))),
-        ("fingerprint", json::Value::Str(format!("{key:016x}"))),
-        ("profile", body),
-    ])
-    .encode();
-    text.push('\n');
-    text.into_bytes()
+    let body = codec::profile_to_value(profile).encode();
+    let crc = crc64(body.as_bytes());
+    format!(
+        "{ENVELOPE_FORMAT}{CACHE_FORMAT_VERSION}{ENVELOPE_CRC}{crc:016x}\
+         {ENVELOPE_FINGERPRINT}{key:016x}{ENVELOPE_PROFILE}{body}}}\n"
+    )
+    .into_bytes()
 }
 
 /// Verifies and decodes one cache entry against the key it was looked up
 /// under. This is the single decode path for every reader (the engine's
 /// own cache reads and [`read_cache_dir`]), so no two readers can
-/// disagree on what counts as a valid entry. Any failure — bad UTF-8,
-/// bad JSON, non-canonical bytes, wrong format version, checksum or
+/// disagree on what counts as a valid entry.
+///
+/// The envelope is checked byte for byte against the one
+/// [`encode_cache_entry`] writes, the CRC-64 is computed over the
+/// profile bytes exactly as stored, and only then is the profile parsed
+/// and decoded, once. Because the writer stores canonical profile
+/// bytes, damage that still parses to an equal JSON value (e.g. a case
+/// flip inside a float exponent) fails the checksum. Any failure — bad
+/// UTF-8, a non-canonical envelope, wrong format version, checksum or
 /// fingerprint mismatch, undecodable profile — is grounds for
-/// quarantine: entries are written canonically, so a valid entry can
-/// only fail here if its bytes changed underneath us.
+/// quarantine: a valid entry can only fail here if its bytes changed
+/// underneath us.
 pub fn verify_cache_entry(bytes: &[u8], expected_key: u64) -> Result<WorkloadProfile, String> {
     let text = std::str::from_utf8(bytes).map_err(|_| "entry is not UTF-8".to_owned())?;
-    let body = text.trim_end();
-    let value = json::parse(body).map_err(|_| "entry is not valid JSON".to_owned())?;
-    // Canonical-byte stability first: stored entries are canonical, so
-    // even damage that still parses to an equal JSON value (e.g. a case
-    // flip inside a float exponent) re-encodes differently and is
-    // caught before the checksum is even consulted.
-    if value.encode() != body {
-        return Err("entry bytes are not canonical".to_owned());
+    let malformed = || "entry envelope is not canonical".to_owned();
+    let rest = text
+        .trim_end()
+        .strip_prefix(ENVELOPE_FORMAT)
+        .ok_or_else(malformed)?;
+    let (format, rest) = rest.split_once(ENVELOPE_CRC).ok_or_else(malformed)?;
+    if format.is_empty() || !format.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(malformed());
     }
-    if value.get("format").and_then(|v| v.as_u64()) != Some(CACHE_FORMAT_VERSION) {
+    if format != CACHE_FORMAT_VERSION.to_string() {
         return Err(format!(
             "unsupported cache format (want {CACHE_FORMAT_VERSION})"
         ));
     }
-    let stored_crc = value
-        .get("crc64")
-        .and_then(|v| v.as_str())
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| "missing or malformed crc64".to_owned())?;
-    let profile_value = value
-        .get("profile")
-        .ok_or_else(|| "missing profile".to_owned())?;
-    let actual_crc = crc64(profile_value.encode().as_bytes());
+    let (stored_crc, rest) =
+        split_hex16(rest).ok_or_else(|| "missing or malformed crc64".to_owned())?;
+    let (fingerprint, rest) = rest
+        .strip_prefix(ENVELOPE_FINGERPRINT)
+        .and_then(split_hex16)
+        .ok_or_else(malformed)?;
+    let profile_text = rest
+        .strip_prefix(ENVELOPE_PROFILE)
+        .and_then(|body| body.strip_suffix('}'))
+        .ok_or_else(malformed)?;
+    let actual_crc = crc64(profile_text.as_bytes());
     if stored_crc != actual_crc {
         return Err(format!(
             "checksum mismatch: stored {stored_crc:016x}, computed {actual_crc:016x}"
         ));
     }
-    let expected = format!("{expected_key:016x}");
-    if value.get("fingerprint").and_then(|v| v.as_str()) != Some(expected.as_str()) {
-        return Err(format!("fingerprint mismatch (want {expected})"));
+    if fingerprint != expected_key {
+        return Err(format!("fingerprint mismatch (want {expected_key:016x})"));
     }
-    codec::profile_from_value(profile_value).map_err(|e| e.to_string())
+    let value = json::parse(profile_text).map_err(|_| "profile is not valid JSON".to_owned())?;
+    codec::profile_from_value(&value).map_err(|e| e.to_string())
+}
+
+/// Splits the 16 lowercase hex digits the envelope writes a `u64` as off
+/// the front of `text`.
+fn split_hex16(text: &str) -> Option<(u64, &str)> {
+    let digits = text.get(..16)?;
+    if !digits
+        .bytes()
+        .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    {
+        return None;
+    }
+    Some((u64::from_str_radix(digits, 16).ok()?, text.get(16..)?))
 }
 
 /// Loads every valid cache entry under `dir` (diagnostics / inspection).

@@ -21,6 +21,7 @@ use bdb_node::NodeConfig;
 use bdb_sim::MachineConfig;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
+use std::sync::OnceLock;
 
 /// One unit of profiling work, self-describing across process boundaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,14 +94,22 @@ impl std::error::Error for TaskError {}
 /// Resolves a workload id against the full shipped universe: the 77
 /// catalog workloads, the six MPI controls, and every comparison suite's
 /// kernels — exactly the sets the bench binaries profile. First match
-/// wins; ids are unique within each set.
+/// wins; ids are unique within each set. The universe is built once per
+/// process.
 pub fn resolve_workload(id: &str) -> Option<WorkloadDef> {
-    let mut universe = catalog::full_catalog();
-    universe.extend(catalog::mpi_workloads());
-    for &suite in &catalog::ALL_SUITES {
-        universe.extend(catalog::suite_workloads(suite));
-    }
-    universe.into_iter().find(|w| w.spec.id == id)
+    static UNIVERSE: OnceLock<Vec<WorkloadDef>> = OnceLock::new();
+    UNIVERSE
+        .get_or_init(|| {
+            let mut universe = catalog::full_catalog();
+            universe.extend(catalog::mpi_workloads());
+            for &suite in &catalog::ALL_SUITES {
+                universe.extend(catalog::suite_workloads(suite));
+            }
+            universe
+        })
+        .iter()
+        .find(|w| w.spec.id == id)
+        .cloned()
 }
 
 impl Engine {
@@ -112,9 +121,16 @@ impl Engine {
     pub fn run_task(&self, task: &Task) -> Result<TaskResult, TaskError> {
         let workload = resolve_workload(&task.workload_id)
             .ok_or_else(|| TaskError::UnknownWorkload(task.workload_id.clone()))?;
-        let profile = self.profile(&workload, task.scale, &task.machine, &task.node);
+        let fingerprint = task.fingerprint();
+        let profile = self.profile_keyed(
+            &workload,
+            fingerprint,
+            task.scale,
+            &task.machine,
+            &task.node,
+        );
         Ok(TaskResult {
-            fingerprint: task.fingerprint(),
+            fingerprint,
             profile,
         })
     }

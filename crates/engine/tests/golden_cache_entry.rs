@@ -144,3 +144,67 @@ fn golden_cache_entry_matches_the_checkout() {
         "an entry must not verify under another fingerprint"
     );
 }
+
+/// The golden entry's text, for the damage cases below.
+fn golden_text() -> String {
+    String::from_utf8(encode_cache_entry(FINGERPRINT, &golden_profile()))
+        .expect("entries are UTF-8")
+}
+
+/// `entry` with its first `from` replaced by `to`; panics if `from` is
+/// absent so a damage case can never silently test the pristine entry.
+fn damaged(entry: &str, from: &str, to: &str) -> Vec<u8> {
+    assert!(entry.contains(from), "{from:?} not in the entry");
+    entry.replacen(from, to, 1).into_bytes()
+}
+
+#[test]
+fn value_equal_damage_to_a_profile_float_fails_the_checksum() {
+    // An exponent-form float: flipping its `e` to `E` leaves the parsed
+    // value unchanged, so only the stored-bytes checksum can catch it.
+    let mut profile = golden_profile();
+    profile.report.tlb_stall_cycles = 1e-7;
+    let entry = String::from_utf8(encode_cache_entry(FINGERPRINT, &profile)).unwrap();
+    verify_cache_entry(entry.as_bytes(), FINGERPRINT).expect("pristine entry verifies");
+    let err = verify_cache_entry(&damaged(&entry, "1e-7", "1E-7"), FINGERPRINT).unwrap_err();
+    assert!(err.contains("checksum mismatch"), "{err}");
+}
+
+#[test]
+fn reordered_envelope_keys_are_rejected() {
+    let entry = golden_text();
+    let (head, rest) = entry.split_once(",\"crc64\":").unwrap();
+    let (crc, rest) = rest.split_once(',').unwrap();
+    let format = head.strip_prefix('{').unwrap();
+    let reordered = format!("{{\"crc64\":{crc},{format},{rest}");
+    assert!(verify_cache_entry(reordered.as_bytes(), FINGERPRINT).is_err());
+}
+
+#[test]
+fn whitespace_inside_the_envelope_is_rejected() {
+    let entry = golden_text();
+    for (from, to) in [
+        ("{\"format\":", "{ \"format\":"),
+        ("\"format\":", "\"format\": "),
+        (",\"crc64\"", ", \"crc64\""),
+        (",\"profile\":", ",\"profile\" :"),
+    ] {
+        assert!(
+            verify_cache_entry(&damaged(&entry, from, to), FINGERPRINT).is_err(),
+            "{to:?} accepted"
+        );
+    }
+    let closing = entry.trim_end().strip_suffix('}').unwrap();
+    assert!(verify_cache_entry(format!("{closing} }}\n").as_bytes(), FINGERPRINT).is_err());
+}
+
+#[test]
+fn another_format_version_reports_the_format_error() {
+    let entry = golden_text();
+    let err = verify_cache_entry(
+        &damaged(&entry, "{\"format\":3,", "{\"format\":2,"),
+        FINGERPRINT,
+    )
+    .unwrap_err();
+    assert!(err.contains("unsupported cache format"), "{err}");
+}

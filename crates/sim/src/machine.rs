@@ -244,8 +244,17 @@ impl PerfReport {
     }
 }
 
+/// One slot of the stream prefetcher: the last data line a sequential
+/// stream touched and how many consecutive next-line hits confirmed it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stream {
+    last_line: u64,
+    confidence: u8,
+}
+
 /// The simulated machine. Implements [`TraceSink`]: feed it a workload's
-/// micro-op stream and read off a [`PerfReport`].
+/// micro-op stream and read off a [`PerfReport`] — the reproduction's
+/// equivalent of running under `perf stat`.
 ///
 /// # Examples
 ///
@@ -267,15 +276,6 @@ impl PerfReport {
 /// let report = machine.report();
 /// assert!(report.ipc() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-struct Stream {
-    last_line: u64,
-    confidence: u8,
-}
-
-/// The simulated machine. Implements [`TraceSink`]: feed it a workload's
-/// micro-op stream and read off a [`PerfReport`] — the reproduction's
-/// equivalent of running under `perf stat`.
 #[derive(Debug, Clone)]
 pub struct Machine {
     config: MachineConfig,

@@ -37,7 +37,15 @@ fn def(
     )
 }
 
-fn offline_def(stack: StackKind, kernel: KernelKind, dataset: DataSetId) -> WorkloadDef {
+/// One offline-analytics workload exactly as [`full_catalog`] and
+/// [`mpi_workloads`] build it, for callers that need a few offline
+/// workloads without building the whole catalog.
+///
+/// # Panics
+///
+/// Panics unless `stack` is Hadoop, Spark or MPI and `kernel` is one of
+/// the offline kernels that stack runs.
+pub fn offline_def(stack: StackKind, kernel: KernelKind, dataset: DataSetId) -> WorkloadDef {
     use DataSetId as D;
     use KernelKind as K;
     use StackKind as S;
