@@ -13,15 +13,12 @@
 //! equals the requested width, so a pool that silently falls back to
 //! serial fails the bench run loudly instead of reporting a fake 1.0×.
 
-use bdb_bench::replay_per_point_sweep;
 use bdb_cluster::{loopback_pair, profile_all_distributed, run_worker, wire};
 use bdb_cluster::{Message, Transport, WorkerConfig};
-use bdb_codec::columnar;
 use bdb_engine::{json::Value, Engine, EngineConfig};
 use bdb_node::NodeConfig;
 use bdb_serve::{Mutation, ServeClient, ServeSpec, ServeState, Server, ServerConfig};
 use bdb_sim::{sweep_per_point, MachineConfig, SweepFamily, SweepResult, PAPER_SWEEP_KIB};
-use bdb_trace::TraceBuffer;
 use bdb_wcrt::WorkloadProfile;
 use bdb_workloads::{catalog, Scale, WorkloadDef};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -197,19 +194,8 @@ fn measure_and_report() {
     // Sweep section: the per-point reference re-runs the workload
     // generator and a full Machine for each of the 10 capacity points;
     // the fused path extracts the L1 event streams once and replays them
-    // per capacity. Same bits, fraction of the work. Per-point replay
-    // (trace once, full machine replayed per point) is timed as a third
-    // column and must also match bit for bit.
+    // per capacity. Same bits, fraction of the work.
     let (sweep_serial_s, serial_sweeps) = time(|| run_reference_sweeps(&defs, scale()));
-    let (sweep_replay_pp_s, replay_pp_sweeps) = time(|| {
-        defs.iter()
-            .map(|def| replay_per_point_sweep(def, scale(), &PAPER_SWEEP_KIB))
-            .collect::<Vec<_>>()
-    });
-    assert_eq!(
-        serial_sweeps, replay_pp_sweeps,
-        "per-point replay must be bit-identical to the reference sweep"
-    );
     let (sweep_fused_s, fused_sweeps) = time(|| run_sweeps(&sweep_engine(1), &defs, scale()));
     assert_eq!(
         serial_sweeps, fused_sweeps,
@@ -296,49 +282,7 @@ fn measure_and_report() {
         sweep_point_fields.push((t, secs));
     }
 
-    // Codec section: BDBC binary vs canonical JSON for the byte-heavy
-    // artifacts. Trace chunks are where the columnar format pays off —
-    // delta-varint columns against JSON arrays of decimal integers.
-    let captured = TraceBuffer::capture(|sink| {
-        let _ = defs[0].run(sink, scale());
-    });
-    let (spill_s, spill) = time(|| captured.spill().expect("trace spill encodes"));
-    let (load_s, reloaded) = time(|| TraceBuffer::load(&spill).expect("trace spill loads"));
-    assert_eq!(reloaded.len(), captured.len(), "reloaded trace lost events");
-    // Two JSON baselines: the columnar-array interchange form (what
-    // `trace_chunk_to_json` pins for the fixtures) and the per-event
-    // JSON-lines form a non-columnar spill would write. The >=10x
-    // frame-size claim is against event frames; the array form is
-    // already column-compressed by construction, so its ratio is
-    // smaller and reported as its own field.
-    let mut trace_json_bytes = 0usize;
-    let mut trace_event_json_bytes = 0usize;
-    let mut rest: &[u8] = &spill;
-    while !rest.is_empty() {
-        let (_, payload, used) =
-            bdb_codec::decode_record_prefix(rest).expect("spill holds whole records");
-        let columns = columnar::TraceChunkView::parse(payload)
-            .expect("chunk payload parses")
-            .to_columns();
-        trace_json_bytes += columnar::trace_chunk_to_json(&columns).encode().len() + 1;
-        for i in 0..columns.len() {
-            trace_event_json_bytes += format!(
-                "{{\"arg\":{},\"aux\":{},\"kind\":{},\"pc\":{}}}\n",
-                columns.arg[i], columns.aux[i], columns.kind[i], columns.pc[i]
-            )
-            .len();
-        }
-        rest = &rest[used..];
-    }
-    let trace_array_ratio = trace_json_bytes as f64 / spill.len() as f64;
-    let trace_ratio = trace_event_json_bytes as f64 / spill.len() as f64;
-    assert!(
-        trace_ratio >= 10.0,
-        "columnar trace chunks must be >=10x smaller than JSON event \
-         frames (got {trace_ratio:.1}x)"
-    );
-    let spill_mib = spill.len() as f64 / (1024.0 * 1024.0);
-
+    // Codec section: canonical JSON sizes of the byte-heavy records.
     let cache_json_bytes = bdb_engine::codec::profile_to_value(&serial[0])
         .encode()
         .len()
@@ -446,10 +390,6 @@ fn measure_and_report() {
             Value::UInt(PAPER_SWEEP_KIB.len() as u64),
         ),
         ("sweep_serial_seconds", Value::Float(sweep_serial_s)),
-        (
-            "sweep_replay_per_point_seconds",
-            Value::Float(sweep_replay_pp_s),
-        ),
         ("sweep_fused_seconds", Value::Float(sweep_fused_s)),
         ("fused_speedup", Value::Float(fused_speedup)),
     ];
@@ -482,31 +422,6 @@ fn measure_and_report() {
         fields.push((key, Value::Float(secs)));
     }
     fields.extend([
-        ("trace_chunk_binary_bytes", Value::UInt(spill.len() as u64)),
-        (
-            "trace_chunk_json_bytes",
-            Value::UInt(trace_json_bytes as u64),
-        ),
-        (
-            "trace_event_json_bytes",
-            Value::UInt(trace_event_json_bytes as u64),
-        ),
-        (
-            "trace_chunk_binary_vs_json_array",
-            Value::Float(trace_array_ratio),
-        ),
-        (
-            "trace_chunk_binary_vs_json_events",
-            Value::Float(trace_ratio),
-        ),
-        (
-            "trace_spill_encode_mib_per_s",
-            Value::Float(spill_mib / spill_s),
-        ),
-        (
-            "trace_spill_decode_mib_per_s",
-            Value::Float(spill_mib / load_s),
-        ),
         (
             "cache_entry_json_bytes",
             Value::UInt(cache_json_bytes as u64),
@@ -550,8 +465,7 @@ fn measure_and_report() {
         cold_s / warm_s
     );
     println!(
-        "sweep:  per-point {sweep_serial_s:.2}s, per-point(replay) {sweep_replay_pp_s:.2}s, \
-         fused {sweep_fused_s:.2}s ({fused_speedup:.1}x), fused threads {}",
+        "sweep:  per-point {sweep_serial_s:.2}s, fused {sweep_fused_s:.2}s ({fused_speedup:.1}x), fused threads {}",
         sweep_thread_fields
             .iter()
             .map(|&(t, s)| format!("{t}t={s:.2}s"))
@@ -573,11 +487,8 @@ fn measure_and_report() {
             .join(" ")
     );
     println!(
-        "codec:  trace chunks {}B binary vs {trace_event_json_bytes}B JSON event frames \
-         ({trace_ratio:.1}x; {trace_array_ratio:.1}x vs the array form), \
-         cache entry {cache_json_bytes}B, result frame {wire_json_bytes}B, \
-         merge {merge_json_s:.2}s",
-        spill.len()
+        "codec:  cache entry {cache_json_bytes}B, result frame {wire_json_bytes}B, \
+         merge {merge_json_s:.2}s"
     );
     println!(
         "serve:  cold materialize({serve_entries}) {serve_cold_s:.2}s, \
@@ -659,7 +570,12 @@ fn sweep_per_point_vs_fused(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_sweep");
     group.sample_size(10);
     group.bench_function("per_point", |b| {
-        b.iter(|| replay_per_point_sweep(def, scale(), &caps))
+        let family = SweepFamily::atom();
+        b.iter(|| {
+            sweep_per_point(&family, &def.spec.id, &caps, |sink| {
+                let _ = def.run(sink, scale());
+            })
+        })
     });
     group.bench_function("fused", |b| {
         let engine = sweep_engine(1);

@@ -99,14 +99,6 @@ fn main() {
         .collect();
     let per_point_s = start.elapsed().as_secs_f64();
 
-    // Per-point replay (trace captured once, a full machine replayed per
-    // capacity) must reproduce the oracle's bits.
-    let replay_pp: Vec<SweepResult> = defs
-        .iter()
-        .map(|def| bdb_bench::replay_per_point_sweep(def, scale, &PAPER_SWEEP_KIB))
-        .collect();
-    assert_bit_identical(&reference, &replay_pp, "per-point replay sweep");
-
     let start = Instant::now();
     let fused = run_sweeps(&honest_engine(1), &defs, scale);
     let fused_s = start.elapsed().as_secs_f64();

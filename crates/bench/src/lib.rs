@@ -348,25 +348,6 @@ pub fn mpi_sweep_defs() -> Vec<WorkloadDef> {
         .collect()
 }
 
-/// The per-point replay reference sweep: captures `def`'s trace once and
-/// replays a full Atom-like machine at every capacity
-/// ([`bdb_sim::sweep_point_replay`]). Byte-identical to the engine's
-/// fused sweep; `perf_smoke` and the engine bench check and time it.
-pub fn replay_per_point_sweep(
-    def: &WorkloadDef,
-    scale: Scale,
-    capacities_kib: &[u64],
-) -> bdb_sim::SweepResult {
-    let buffer = bdb_trace::TraceBuffer::capture(|sink| {
-        let _ = def.run(sink, scale);
-    });
-    let points = capacities_kib
-        .iter()
-        .map(|&kib| bdb_sim::sweep_point_replay(kib, &buffer))
-        .collect();
-    bdb_sim::assemble_sweep(&def.spec.id, capacities_kib, points)
-}
-
 /// Renders a sweep-figure table with one column per curve.
 pub fn render_sweep_table(curves: &[&bdb_sim::MissRatioCurve]) -> String {
     let mut headers = vec!["cache KiB".to_owned()];

@@ -210,9 +210,9 @@ mod tests {
 
     #[test]
     fn garbage_payload_is_a_decode_error() {
-        // The second payload is a BDBC wire record, as older builds
-        // could send.
-        for payload in [&b"{{{"[..], b"BDBC\x01\x00\x04\x00binary wire"] {
+        // The second payload is a binary record, as older builds could
+        // send.
+        for payload in [&b"{{{"[..], b"\x00\x01\x00\x04binary wire"] {
             assert!(matches!(
                 decode_frames(&encode_payload_frame(payload)),
                 Err((0, WireError::Decode(_)))

@@ -1,8 +1,8 @@
 //! CRC-64/XZ — the single content checksum used by every byte format in
 //! the workspace.
 //!
-//! The engine's cache entries and journal frames, the binary container
-//! trailer, and the linter's artifact re-verification all stamp and check
+//! The engine's cache entries and journal frames, the contract pins,
+//! and the linter's artifact re-verification all stamp and check
 //! this exact function, so a checksum mismatch means the *content*
 //! drifted, never the checksum implementation.
 

@@ -4,8 +4,7 @@
 //! This module is the **single** canonical-JSON implementation in the
 //! workspace — the engine's cache/journal, the cluster wire, `bdb-serve`
 //! and the linter's artifact passes all re-export it, so "canonical
-//! bytes" means exactly one thing everywhere. It is also the interchange
-//! form of the binary trace-chunk records in [`crate::columnar`].
+//! bytes" means exactly one thing everywhere.
 //!
 //! The workspace has no serde backend (see `vendor/README.md`), so all
 //! JSON is written and read through this hand-rolled codec. Two
@@ -227,12 +226,22 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses JSON text into a [`Value`].
+/// The deepest `[`/`{` nesting [`parse`] accepts. The parser recurses
+/// once per level, and untrusted payloads (serve requests, cluster
+/// frames) are parsed on threads with the default 2 MiB stack, so
+/// without a cap a few kilobytes of brackets overflow the stack and
+/// abort the whole process. The workspace's own records nest only a few
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses JSON text into a [`Value`]. Input nested deeper than
+/// [`MAX_DEPTH`] is an error.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -249,6 +258,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -295,8 +306,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("nesting deeper than MAX_DEPTH"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -497,6 +519,26 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_on_a_default_stack_thread() {
+        // Spawned threads get the default 2 MiB stack, as the serve and
+        // cluster session threads do; without the cap each input below
+        // overflows it and aborts the test binary.
+        for opener in ["[", "{\"a\":"] {
+            let text = opener.repeat(100_000);
+            let result = std::thread::spawn(move || parse(&text)).join().unwrap();
+            assert!(result.is_err(), "{opener:?} x 100k must not parse");
+        }
     }
 
     #[test]

@@ -530,16 +530,16 @@ mod tests {
 
     #[test]
     fn binary_frame_from_an_older_build_ends_the_valid_prefix() {
-        // Older builds could frame BDBC binary payloads. Such a frame has
-        // a good CRC but is not JSON, so resume keeps everything before
-        // it and truncates the rest like a damaged tail.
+        // Older builds could frame binary payloads. Such a frame has a
+        // good CRC but is not JSON, so resume keeps everything before it
+        // and truncates the rest like a damaged tail.
         let dir = scratch("legacy-binary");
         let path = dir.join("run.wal");
         let store: Arc<dyn CacheStore> = Arc::new(RealFs);
         let (mut journal, _) = RunJournal::open(store.clone(), path.clone(), "ctx", false);
         journal.record_sweep(0xdef, &sample_sweep()).unwrap();
         let valid_len = std::fs::metadata(&path).unwrap().len() as usize;
-        let binary = b"BDBC\x01\x00\x03\x00legacy journal record";
+        let binary = b"\x00\x01\x00\x03legacy journal record";
         let mut legacy = Vec::new();
         legacy.extend_from_slice(&(binary.len() as u32).to_be_bytes());
         legacy.extend_from_slice(binary);

@@ -664,7 +664,7 @@ impl Engine {
     /// and each capacity point replays those streams
     /// ([`bdb_sim::fused_point`]). The result is byte-identical to the
     /// reference semantics of one whole machine per point
-    /// ([`bdb_sim::sweep_point_replay`]), which the tests check.
+    /// ([`bdb_sim::sweep_per_point`]), which the tests check.
     ///
     /// # Panics
     ///
@@ -1235,9 +1235,9 @@ mod tests {
 
     #[test]
     fn legacy_bin_entry_is_ignored_and_recomputed() {
-        // Older builds could write BDBC `.bin` entries. They are neither
-        // read, quarantined nor counted: the JSON entry is computed and
-        // written beside them.
+        // Older builds could write binary `.bin` entries. They are
+        // neither read, quarantined nor counted: the JSON entry is
+        // computed and written beside them.
         let dir = scratch_dir("legacybin");
         let workloads = reps(1);
         let machine = MachineConfig::xeon_e5645();
@@ -1252,7 +1252,7 @@ mod tests {
             .cache_file(&workloads[0], Scale::tiny(), &machine, &node)
             .unwrap();
         let legacy = path.with_extension("bin");
-        std::fs::write(&legacy, b"BDBC\x01\x00\x02\x00legacy").unwrap();
+        std::fs::write(&legacy, b"\x00\x01\x00\x02legacy").unwrap();
         engine.profile(&workloads[0], Scale::tiny(), &machine, &node);
         let counters = engine.counters();
         assert_eq!((counters.computed, counters.disk_hits), (1, 0));

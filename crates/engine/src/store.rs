@@ -25,7 +25,7 @@ use std::sync::Mutex;
 
 /// CRC-64/XZ over `bytes` — the content checksum stamped into every
 /// cache entry and journal frame. Re-exported from `bdb-codec`, the
-/// single reference implementation shared with the binary container.
+/// workspace's single reference implementation.
 pub use bdb_codec::crc64;
 
 /// A storage operation failed. Callers treat this as "degrade and keep

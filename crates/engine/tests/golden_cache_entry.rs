@@ -12,7 +12,7 @@
 //! BDB_BLESS=1 cargo test -p bdb-engine --test golden_cache_entry
 //! ```
 //!
-//! `bdb-lint`'s fixture pass checks the same file against the cache
+//! `bdb-lint`'s `cache-format` pass checks the same file against the cache
 //! schema, and [`verify_cache_entry`] must accept it.
 
 use bdb_datagen::DataSetId;

@@ -8,18 +8,13 @@
 //! * `reduction-config` — `contracts/reduction.txt` pins 17 clusters
 //!   whose representative weights sum to 77 and whose ids exist in the
 //!   catalog spec.
-//! * `cache-format` — every `results/cache/*.json` entry parses, matches
-//!   the v3 cache schema (format version, CRC-64 content checksum,
-//!   fingerprint-in-filename, 45-metric vector), and survives canonical
-//!   re-encoding byte for byte.
+//! * `cache-format` — every `results/cache/*.json` entry and every
+//!   golden cache-entry envelope under `contracts/fixtures/` parses,
+//!   matches the v3 cache schema (format version, CRC-64 content
+//!   checksum, fingerprint-in-filename, 45-metric vector), and survives
+//!   canonical re-encoding byte for byte.
 //! * `bench-format` — every `BENCH_*.json` record at the repo root is a
 //!   canonical single-line JSON object with a `bench` tag.
-//! * `binary-stability` — the golden BDBC fixtures under
-//!   `contracts/fixtures/` decode, re-encode byte-identically, and agree
-//!   with their JSON interchange sidecars (the `binary → JSON → binary`
-//!   contract), so accidental format drift fails the lint gate. A `.json`
-//!   fixture with no `.bin` beside it is a golden cache-entry envelope
-//!   and gets the `cache-format` checks.
 //!
 //! The code contracts these artifacts mirror are enforced by the root
 //! test-suite (`tests/contracts_sync.rs`), which regenerates the files
@@ -27,7 +22,7 @@
 
 use crate::json::{self, Value};
 use crate::{Diagnostic, PAPER_CLUSTERS, PAPER_METRICS, PAPER_WORKLOADS};
-use bdb_codec::{columnar, crc64};
+use bdb_codec::crc64;
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -40,9 +35,9 @@ pub fn run(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let catalog_ids = check_catalog(root, &mut diags);
     check_metrics(root, &mut diags);
     check_reduction(root, &catalog_ids, &mut diags);
-    check_cache_dir(root, &mut diags);
+    check_cache_dir(&root.join("results/cache"), &mut diags);
+    check_cache_dir(&root.join("contracts/fixtures"), &mut diags);
     check_bench_files(root, &mut diags);
-    check_fixtures(root, &mut diags);
     Ok(diags)
 }
 
@@ -271,11 +266,13 @@ fn check_reduction(root: &Path, catalog_ids: &BTreeSet<String>, diags: &mut Vec<
     }
 }
 
-fn check_cache_dir(root: &Path, diags: &mut Vec<Diagnostic>) {
+/// Runs [`check_cache_entry`] on every `.json` file in `dir`: the
+/// engine's cache directory and the golden envelopes under
+/// `contracts/fixtures/`.
+fn check_cache_dir(dir: &Path, diags: &mut Vec<Diagnostic>) {
     const RULE: &str = "cache-format";
-    let dir = root.join("results/cache");
-    let Ok(entries) = std::fs::read_dir(&dir) else {
-        return; // no cache directory is fine — nothing persisted yet
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return; // a missing directory is fine — nothing persisted yet
     };
     let mut files: Vec<_> = entries
         .flatten()
@@ -398,94 +395,6 @@ fn check_profile_shape(
             }
         }
         None => emit("profile `metrics` must be an array".into()),
-    }
-}
-
-/// The `binary-stability` pass: every golden BDBC fixture under
-/// `contracts/fixtures/` must decode, re-encode to the identical bytes,
-/// and agree with its JSON interchange sidecar — the `binary → JSON →
-/// binary` contract, pinned in CI so format drift cannot land silently.
-/// A `.json` fixture without a `.bin` beside it is a golden cache-entry
-/// envelope and must pass [`check_cache_entry`].
-fn check_fixtures(root: &Path, diags: &mut Vec<Diagnostic>) {
-    const RULE: &str = "binary-stability";
-    let dir = root.join("contracts/fixtures");
-    let Ok(entries) = std::fs::read_dir(&dir) else {
-        return; // fixtures are optional until the format ships entries
-    };
-    let mut files: Vec<_> = entries.flatten().map(|e| e.path()).collect();
-    files.sort();
-    for file in files {
-        if file.extension().is_some_and(|e| e == "bin") {
-            let Ok(bytes) = std::fs::read(&file) else {
-                diags.push(Diagnostic::new(&file, 0, RULE, "unreadable fixture"));
-                continue;
-            };
-            check_one_fixture(&file, &bytes, diags);
-        } else if file.extension().is_some_and(|e| e == "json")
-            && !file.with_extension("bin").exists()
-        {
-            let Ok(text) = std::fs::read_to_string(&file) else {
-                diags.push(Diagnostic::new(&file, 0, RULE, "unreadable fixture"));
-                continue;
-            };
-            check_cache_entry(&file, &text, diags);
-        }
-    }
-}
-
-fn check_one_fixture(file: &Path, bytes: &[u8], diags: &mut Vec<Diagnostic>) {
-    const RULE: &str = "binary-stability";
-    let mut emit = |message: String| diags.push(Diagnostic::new(file, 0, RULE, message));
-    // `TraceChunk` is the only BDBC record kind.
-    let (_, payload) = match bdb_codec::decode_record(bytes) {
-        Ok(pair) => pair,
-        Err(e) => {
-            emit(format!("fixture does not decode: {e}"));
-            return;
-        }
-    };
-    // Decode to columns, re-encode the binary record from them, and
-    // render the JSON sidecar form.
-    let columns = match columnar::TraceChunkView::parse(payload) {
-        Ok(view) => view.to_columns(),
-        Err(e) => {
-            emit(format!("trace-chunk payload does not parse: {e}"));
-            return;
-        }
-    };
-    let reencoded = match columnar::encode_trace_chunk(
-        &columns.pc,
-        &columns.arg,
-        &columns.kind,
-        &columns.aux,
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            emit(format!("trace-chunk re-encode failed: {e}"));
-            return;
-        }
-    };
-    let interchange = columnar::trace_chunk_to_json(&columns);
-    if reencoded != bytes {
-        emit("fixture is not byte-stable: canonical re-encoding differs".into());
-    }
-    let sidecar = file.with_extension("json");
-    match std::fs::read_to_string(&sidecar) {
-        Ok(text) => {
-            let expected = format!("{}\n", interchange.encode());
-            if text != expected {
-                emit(
-                    "JSON sidecar disagrees with the decoded fixture — \
-                     the binary → JSON → binary contract is broken"
-                        .into(),
-                );
-            }
-        }
-        Err(_) => emit(format!(
-            "fixture has no JSON interchange sidecar `{}`",
-            sidecar.display()
-        )),
     }
 }
 
@@ -665,30 +574,25 @@ mod tests {
     }
 
     #[test]
-    fn fixture_sidecar_mismatch_is_flagged() {
-        let root = scratch("fixtures");
+    fn golden_envelope_passes_and_damage_is_flagged() {
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../contracts/fixtures/H-WordCount-00c0ffeef00dbeef.json");
+        let text = std::fs::read_to_string(&golden).unwrap();
+        let root = scratch("golden");
         std::fs::create_dir_all(root.join("contracts/fixtures")).unwrap();
-        let columns = columnar::TraceChunkColumns {
-            pc: vec![0x40_1000, 0x40_1004],
-            arg: vec![0, 0x7ffe_0000],
-            kind: vec![0, 1],
-            aux: vec![0, 8],
-        };
-        let record =
-            columnar::encode_trace_chunk(&columns.pc, &columns.arg, &columns.kind, &columns.aux)
-                .unwrap();
-        let sidecar = root.join("contracts/fixtures/trace_chunk.json");
-        std::fs::write(root.join("contracts/fixtures/trace_chunk.bin"), &record).unwrap();
-        let value = columnar::trace_chunk_to_json(&columns);
-        std::fs::write(&sidecar, format!("{}\n", value.encode())).unwrap();
+        let copy = root.join("contracts/fixtures/H-WordCount-00c0ffeef00dbeef.json");
+        std::fs::write(&copy, &text).unwrap();
         let mut diags = Vec::new();
-        check_fixtures(&root, &mut diags);
+        check_cache_dir(&root.join("contracts/fixtures"), &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
-        std::fs::write(&sidecar, "{\"n\":0}\n").unwrap();
-        let mut diags = Vec::new();
-        check_fixtures(&root, &mut diags);
+        let damaged = text.replacen("\"instructions\":1000,", "\"instructions\":1001,", 1);
+        assert_ne!(damaged, text);
+        std::fs::write(&copy, damaged).unwrap();
+        check_cache_dir(&root.join("contracts/fixtures"), &mut diags);
         assert!(
-            diags.iter().any(|d| d.rule == "binary-stability"),
+            diags
+                .iter()
+                .any(|d| d.rule == "cache-format" && d.message.contains("altered")),
             "{diags:?}"
         );
         let _ = std::fs::remove_dir_all(&root);
@@ -701,7 +605,7 @@ mod tests {
         let envelope = root.join("contracts/fixtures/X-1234567890abcdef.json");
         std::fs::write(&envelope, "{\"format\":2}\n").unwrap();
         let mut diags = Vec::new();
-        check_fixtures(&root, &mut diags);
+        check_cache_dir(&root.join("contracts/fixtures"), &mut diags);
         assert!(
             diags
                 .iter()

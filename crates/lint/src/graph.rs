@@ -357,8 +357,8 @@ impl Graph {
             return Vec::new();
         };
         let mut prefix: Vec<String> = segs[..segs.len() - 1].to_vec();
-        // Splice a leading `use` alias (`columnar::…` after
-        // `use bdb_codec::columnar`). An alias for the full first segment
+        // Splice a leading `use` alias (`json::…` after
+        // `use bdb_codec::json`). An alias for the full first segment
         // replaces it with the aliased path.
         if let Some(first) = prefix.first().cloned() {
             if let Some((_, full)) = pf.imports.iter().find(|(n, _)| *n == first) {

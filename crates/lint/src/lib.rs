@@ -26,15 +26,12 @@
 //!     `std::fs` directly; all disk I/O routes through the `CacheStore`
 //!     abstraction so chaos injection and the crash-safety counters see
 //!     every operation.
-//!   - `endianness` — the binary columnar format (`crates/codec`) is
-//!     little-endian by contract; big-endian and native-endian byte
-//!     conversions are banned there so records stay portable.
 //! * **Artifact passes** statically validate the checked-in contracts:
 //!   the catalog spec (77 workloads), metric schema (45 metrics), the
-//!   reduction config (17 clusters, weights summing to 77), the JSON
-//!   schema / byte-stability of `results/cache` entries and
-//!   `BENCH_*.json`, and the golden fixtures under `contracts/fixtures/`
-//!   (`binary-stability`).
+//!   reduction config (17 clusters, weights summing to 77), and the JSON
+//!   schema / byte-stability of `results/cache` entries, the golden
+//!   cache-entry envelopes under `contracts/fixtures/` and
+//!   `BENCH_*.json`.
 //!
 //! Diagnostics carry `file:line` and a rule id and are suppressible with
 //! `// bdb-lint: allow(<rule>): <justification>` on the offending line or
@@ -98,19 +95,11 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "cache-format",
-        "results/cache entries are schema-valid and byte-stable under canonical re-encoding",
+        "results/cache entries and contracts/fixtures cache envelopes are schema-valid and byte-stable under canonical re-encoding",
     ),
     (
         "bench-format",
         "BENCH_*.json records are schema-valid and byte-stable under canonical re-encoding",
-    ),
-    (
-        "binary-stability",
-        "golden binary fixtures under contracts/fixtures/ decode, re-encode byte-identically, and match their JSON interchange sidecars",
-    ),
-    (
-        "endianness",
-        "the binary format is little-endian only: no to_be/from_be/to_ne/from_ne byte conversions inside crates/codec",
     ),
     (
         "nondeterminism-reachability",

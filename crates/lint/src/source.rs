@@ -1,5 +1,5 @@
-//! Source passes: `determinism`, `panic-hygiene`, `batched-dispatch`,
-//! `raw-fs`, and `endianness`.
+//! Source passes: `determinism`, `panic-hygiene`, `batched-dispatch`
+//! and `raw-fs`.
 
 use crate::graph::Workspace;
 use crate::lexer::{self, find_word, ScannedFile};
@@ -45,21 +45,6 @@ const BATCHED_DISPATCH_SCOPE: &[&str] = &["crates/trace/src/buffer.rs", "crates/
 /// exercise and the counters cannot account for.
 const RAW_FS_BOUNDARY: &str = "store.rs";
 
-/// Crate directory whose sources define the binary columnar format — the
-/// scope of the `endianness` rule. The BDBC container is little-endian
-/// by contract (DESIGN.md §15): a `to_be_bytes` or `to_ne_bytes` call in
-/// the codec would silently produce records that decode on the writing
-/// host but not on another, defeating the portable-fixture guarantee.
-const ENDIANNESS_SCOPE: &str = "codec";
-
-/// Byte-order conversions the `endianness` rule rejects inside the codec.
-const ENDIANNESS_TOKENS: &[&str] = &[
-    "to_be_bytes",
-    "from_be_bytes",
-    "to_ne_bytes",
-    "from_ne_bytes",
-];
-
 /// Runs the source passes over the workspace's library sources.
 /// Reading from the shared [`Workspace`] model means suppressions these
 /// passes consume are visible to the final `stale-allow` audit.
@@ -88,9 +73,6 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
         }
         if crate_dir == "engine" && file.file_name().is_none_or(|n| n != RAW_FS_BOUNDARY) {
             check_raw_fs(&file, scanned, &mut diags);
-        }
-        if crate_dir == ENDIANNESS_SCOPE {
-            check_endianness(&file, scanned, &mut diags);
         }
     }
     diags
@@ -208,29 +190,6 @@ fn check_raw_fs(file: &Path, scanned: &ScannedFile, diags: &mut Vec<Diagnostic>)
                 "direct `std::fs` access in the engine outside store.rs — route disk I/O \
                  through `CacheStore` so chaos injection and the crash-safety counters see it",
             ));
-        }
-    }
-}
-
-fn check_endianness(file: &Path, scanned: &ScannedFile, diags: &mut Vec<Diagnostic>) {
-    const RULE: &str = "endianness";
-    for (idx, line) in scanned.lines.iter().enumerate() {
-        if line.in_test || line.code.is_empty() {
-            continue;
-        }
-        let code = &line.code;
-        for token in ENDIANNESS_TOKENS {
-            if lexer::contains_word(code, token) && !scanned.suppressed(idx, RULE) {
-                diags.push(Diagnostic::new(
-                    file,
-                    idx + 1,
-                    RULE,
-                    format!(
-                        "`{token}` in the codec — the binary format is little-endian by \
-                         contract; use to_le_bytes/from_le_bytes so records stay portable"
-                    ),
-                ));
-            }
         }
     }
 }
@@ -376,30 +335,6 @@ mod tests {
         );
         let allowed = "// bdb-lint: allow(raw-fs): bootstrap before the store exists\nstd::fs::create_dir_all(&dir)?;\n";
         assert!(raw_fs(allowed).is_empty());
-    }
-
-    fn endianness(src: &str) -> Vec<Diagnostic> {
-        let mut diags = Vec::new();
-        check_endianness(Path::new("x.rs"), &scan(src), &mut diags);
-        diags
-    }
-
-    #[test]
-    fn big_and_native_endian_conversions_flagged() {
-        assert_eq!(endianness("buf.extend(len.to_be_bytes());\n").len(), 1);
-        assert_eq!(endianness("let v = u64::from_ne_bytes(b);\n").len(), 1);
-    }
-
-    #[test]
-    fn little_endian_tests_and_allows_pass() {
-        assert!(endianness("buf.extend(len.to_le_bytes());\n").is_empty());
-        assert!(endianness("// to_be_bytes is banned here\n").is_empty());
-        assert!(
-            endianness("#[cfg(test)]\nmod t {\n fn f() { let _ = 1u32.to_be_bytes(); }\n}\n")
-                .is_empty()
-        );
-        let allowed = "// bdb-lint: allow(endianness): network byte order at the TCP boundary\nlen.to_be_bytes();\n";
-        assert!(endianness(allowed).is_empty());
     }
 
     #[test]

@@ -780,6 +780,40 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_request_is_a_decode_error() {
+        // Session threads have the default 2 MiB stack; a few hundred KB
+        // of brackets must be refused, not overflow it and abort the
+        // daemon.
+        for opener in ["[", "{\"a\":"] {
+            let payload = opener.repeat(100_000).into_bytes();
+            let result = std::thread::spawn(move || decode_request(&payload))
+                .join()
+                .unwrap();
+            assert!(matches!(result, Err(ServeError::Decode(_))), "{opener:?}");
+        }
+    }
+
+    #[test]
+    fn snapshot_reply_nests_far_below_the_parser_cap() {
+        fn depth(v: &Value) -> usize {
+            match v {
+                Value::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                Value::Object(pairs) => 1 + pairs.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+        let replies = sample_replies();
+        let deepest = replies.iter().map(|r| depth(&reply_to_value(r))).max();
+        let snapshot = replies
+            .iter()
+            .find(|r| matches!(r, ServeReply::Snapshot { .. }))
+            .map(|r| depth(&reply_to_value(r)));
+        assert_eq!(snapshot, deepest, "a snapshot reply nests deepest");
+        let snapshot = snapshot.unwrap();
+        assert!(snapshot * 8 <= json::MAX_DEPTH, "depth {snapshot}");
+    }
+
+    #[test]
     fn wrong_record_kind_is_rejected() {
         // A request handed to the reply decoder must fail loudly, not
         // decode into garbage — including `snapshot`, whose type tag

@@ -419,7 +419,8 @@ impl TraceSink for SweepExtractor {
 
 /// One fused sweep point: replays the extracted streams against bare L1
 /// models at `kib` and returns `(instruction, data, unified)` miss ratios
-/// — bit-identical to `sweep_point` on the same recorded workload.
+/// — bit-identical to [`sweep_point_on`](crate::sweep_point_on) on the
+/// same recorded workload.
 ///
 /// Exact for any associativity/replacement: set-associative LRU with a
 /// power-of-two set count (every paper sweep point) replays through the

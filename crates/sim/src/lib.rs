@@ -54,7 +54,7 @@ pub use fused::{
 pub use machine::{Machine, MachineConfig, PerfReport};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineKind, ServiceLevel};
 pub use sweep::{
-    assemble_sweep, sweep, sweep_on, sweep_per_point, sweep_point, sweep_point_on,
-    sweep_point_replay, sweep_replay, MissRatioCurve, SweepMetric, SweepResult, PAPER_SWEEP_KIB,
+    assemble_sweep, sweep, sweep_on, sweep_per_point, sweep_point_on, sweep_replay, MissRatioCurve,
+    SweepMetric, SweepResult, PAPER_SWEEP_KIB,
 };
 pub use tlb::{Tlb, TlbConfig};

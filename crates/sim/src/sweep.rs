@@ -165,27 +165,9 @@ pub fn sweep_per_point(
     assemble_sweep(label, capacities_kib, points)
 }
 
-/// Runs `workload` once on an Atom-like machine with `kib` of L1 and
-/// returns `(instruction, data, unified)` miss ratios — one point of a
-/// sweep curve, computed the reference way (full machine, no replay).
-pub fn sweep_point(kib: u64, workload: impl FnOnce(&mut dyn TraceSink)) -> (f64, f64, f64) {
-    sweep_point_on(&SweepFamily::atom(), kib, workload)
-}
-
-/// One per-point sample computed from a recorded trace: a full Atom-like
-/// machine at `kib`, fed by replaying `buffer`. Bit-identical to
-/// [`sweep_point`] on the workload that recorded the buffer — trace
-/// replay reproduces the exact event sequence — but the generator does
-/// not re-run, so a reference sweep can capture one trace and replay it
-/// at every capacity.
-pub fn sweep_point_replay(kib: u64, buffer: &TraceBuffer) -> (f64, f64, f64) {
-    let mut machine = Machine::new(SweepFamily::atom().machine_config(kib));
-    buffer.replay_into(&mut machine);
-    let report = machine.report();
-    point_ratios(report.l1i, report.l1d)
-}
-
-/// [`sweep_point`] over an explicit cache [`SweepFamily`].
+/// Runs `workload` once on a full machine of `family` with `kib` of L1
+/// and returns `(instruction, data, unified)` miss ratios — one point of
+/// a sweep curve, computed the reference way (full machine, no replay).
 pub fn sweep_point_on(
     family: &SweepFamily,
     kib: u64,
@@ -349,11 +331,12 @@ mod tests {
     #[test]
     fn sweep_point_matches_serial_sweep() {
         let result = sweep("synthetic", &[16, 256], synthetic);
-        let (i16, d16, u16_) = sweep_point(16, synthetic);
+        let atom = SweepFamily::atom();
+        let (i16, d16, u16_) = sweep_point_on(&atom, 16, synthetic);
         assert_eq!(result.instruction.at(16), Some(i16));
         assert_eq!(result.data.at(16), Some(d16));
         assert_eq!(result.unified.at(16), Some(u16_));
-        let (i256, _, _) = sweep_point(256, synthetic);
+        let (i256, _, _) = sweep_point_on(&atom, 256, synthetic);
         assert_eq!(result.instruction.at(256), Some(i256));
     }
 

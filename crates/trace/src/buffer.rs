@@ -12,16 +12,10 @@
 //!
 //! The in-memory encoding is an internal detail; round-tripping is
 //! exhaustively tested (`MicroOp` has ~11 shapes) and replay equivalence
-//! with direct streaming is proptested in `tests/buffer_props.rs`. For
-//! persistence, [`TraceBuffer::spill`] serializes the chunks as
-//! concatenated BDBC `TraceChunk` records (`bdb-codec`'s checksummed
-//! columnar container) and [`TraceBuffer::load`] restores them — replay
-//! after a spill/load round trip is byte-identical to replaying the
-//! original buffer.
+//! with direct streaming is proptested in `tests/buffer_props.rs`.
 
 use crate::op::{BranchKind, IntPurpose, MicroOp};
 use crate::sink::{TraceEvent, TraceSink};
-use bdb_codec::{columnar, CodecError};
 
 /// Events per chunk: 64 Ki ops ≈ 1.1 MiB of columns — large enough that
 /// per-chunk dispatch cost vanishes, small enough to stay cache-friendly
@@ -278,64 +272,6 @@ impl TraceBuffer {
             })
         })
     }
-
-    /// Serializes the recorded trace as concatenated BDBC `TraceChunk`
-    /// records, one per chunk. The chunk structure is preserved exactly,
-    /// so `spill(load(bytes))` reproduces `bytes` and a loaded buffer
-    /// replays byte-identically to the original. The per-record CRC-64
-    /// makes any storage damage a clean [`load`](Self::load) error.
-    pub fn spill(&self) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::new();
-        for chunk in &self.chunks {
-            out.extend_from_slice(&columnar::encode_trace_chunk(
-                &chunk.pc,
-                &chunk.arg,
-                &chunk.kind,
-                &chunk.aux,
-            )?);
-        }
-        Ok(out)
-    }
-
-    /// Restores a buffer from [`spill`](Self::spill) output. The chunk
-    /// capacity is taken from the largest decoded chunk (or the default
-    /// for an empty trace) so further recording appends sensibly. Any
-    /// mid-record truncation, bit damage, or version mismatch is a clean
-    /// error — never a panic. (Truncation at an exact record boundary is
-    /// indistinguishable from a shorter trace; callers needing
-    /// whole-file integrity add their own outer framing, as the run
-    /// journal does.)
-    pub fn load(bytes: &[u8]) -> Result<TraceBuffer, CodecError> {
-        let mut chunks = Vec::new();
-        let mut len = 0u64;
-        let mut offset = 0usize;
-        while offset < bytes.len() {
-            // `TraceChunk` is the only BDBC kind, so a decoded record is
-            // always a chunk.
-            let (_, payload, consumed) = bdb_codec::decode_record_prefix(&bytes[offset..])?;
-            let columns = columnar::TraceChunkView::parse(payload)?.to_columns();
-            len += columns.len() as u64;
-            chunks.push(Chunk {
-                pc: columns.pc,
-                arg: columns.arg,
-                kind: columns.kind,
-                aux: columns.aux,
-            });
-            offset += consumed;
-        }
-        let chunk_events = chunks
-            .iter()
-            .map(Chunk::len)
-            .max()
-            .unwrap_or(DEFAULT_CHUNK_EVENTS)
-            .max(1);
-        Ok(TraceBuffer {
-            chunk_events,
-            chunks,
-            spare: Vec::new(),
-            len,
-        })
-    }
 }
 
 impl TraceSink for TraceBuffer {
@@ -464,80 +400,6 @@ mod tests {
         assert_eq!(mix.mix().loads, 1);
         assert_eq!(mix.mix().fp, 0);
         assert_eq!(buffer.len(), 1);
-    }
-
-    #[test]
-    fn spill_load_round_trip_is_byte_stable_and_replay_identical() {
-        let ops = all_op_shapes();
-        let mut buffer = TraceBuffer::with_chunk_capacity(3);
-        for (i, &op) in ops.iter().enumerate() {
-            buffer.exec(i as u64 * 4, op);
-        }
-        let bytes = buffer.spill().unwrap();
-        let loaded = TraceBuffer::load(&bytes).unwrap();
-        assert_eq!(loaded.len(), buffer.len());
-        // Replay equality, event for event.
-        let a: Vec<TraceEvent> = buffer.events().collect();
-        let b: Vec<TraceEvent> = loaded.events().collect();
-        assert_eq!(a, b);
-        // Chunk structure survives, so re-spilling is byte-identical.
-        assert_eq!(loaded.spill().unwrap(), bytes);
-        // Replay through a sink matches too.
-        let (mut orig, mut resp) = (MixSink::new(), MixSink::new());
-        buffer.replay_into(&mut orig);
-        loaded.replay_into(&mut resp);
-        assert_eq!(orig.mix(), resp.mix());
-    }
-
-    #[test]
-    fn spill_of_empty_buffer_loads_empty() {
-        let buffer = TraceBuffer::new();
-        let bytes = buffer.spill().unwrap();
-        assert!(bytes.is_empty());
-        let loaded = TraceBuffer::load(&bytes).unwrap();
-        assert!(loaded.is_empty());
-    }
-
-    #[test]
-    fn damaged_spill_is_a_clean_error_never_a_panic() {
-        let mut buffer = TraceBuffer::with_chunk_capacity(4);
-        for i in 0..10u64 {
-            buffer.exec(
-                i * 4,
-                MicroOp::Load {
-                    addr: i * 64,
-                    size: 8,
-                },
-            );
-        }
-        let bytes = buffer.spill().unwrap();
-        // Record boundaries are the only cuts that decode (as a shorter
-        // trace); truncation anywhere else fails cleanly.
-        let boundaries: Vec<usize> = {
-            let mut at = vec![0usize];
-            let mut offset = 0;
-            while offset < bytes.len() {
-                let (_, _, consumed) = bdb_codec::decode_record_prefix(&bytes[offset..]).unwrap();
-                offset += consumed;
-                at.push(offset);
-            }
-            at
-        };
-        assert!(boundaries.len() > 2, "want several chunks under test");
-        for cut in 0..bytes.len() {
-            let result = TraceBuffer::load(&bytes[..cut]);
-            if boundaries.contains(&cut) {
-                assert!(result.is_ok(), "boundary cut {cut} is a valid prefix");
-            } else {
-                assert!(result.is_err(), "mid-record cut {cut} must fail");
-            }
-        }
-        // Any single bit flip is detected.
-        for bit in (0..bytes.len() * 8).step_by(7) {
-            let mut bad = bytes.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            assert!(TraceBuffer::load(&bad).is_err(), "bit {bit} undetected");
-        }
     }
 
     #[test]
